@@ -1,8 +1,9 @@
 // Real-socket deployment: the paper ran up to 64 DAT instances per machine
 // over a UDP RPC layer (Sec. 5.1). This example hosts 16 live nodes on
-// loopback sockets in one process — the same Chord/DAT code as the
-// simulator examples, but over the kernel's UDP stack and wall-clock
-// timers — and runs both a continuous aggregate and an on-demand snapshot.
+// loopback sockets in one process, pumped by the netio epoll reactor — the
+// same Chord/DAT code as the simulator examples, but over the kernel's UDP
+// stack and wall-clock timers — and runs both a continuous aggregate and an
+// on-demand snapshot.
 //
 // Run: ./build/examples/udp_cluster   (takes ~15 s of wall time)
 
@@ -13,14 +14,14 @@
 #include "chord/node.hpp"
 #include "chord/ring_view.hpp"
 #include "dat/dat_node.hpp"
-#include "net/udp_transport.hpp"
+#include "netio/netio_network.hpp"
 
 int main() {
   using namespace dat;
   constexpr std::size_t kNodes = 16;
   const IdSpace space(32);
 
-  net::UdpNetwork network;
+  netio::NetioNetwork network;
   chord::NodeOptions node_options;
   node_options.stabilize_interval_us = 50'000;
   node_options.fix_fingers_interval_us = 10'000;

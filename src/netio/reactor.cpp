@@ -90,10 +90,9 @@ struct Reactor::Scratch {
     std::atomic<std::uint64_t> tasks_run{0};
   } stats;
 
-  /// Log-level gates cached once per loop iteration (the PR 3 pattern from
-  /// the legacy UDP drain loop): the drop/error paths can fire at line rate
-  /// under an adversarial flood, so they must not pay even the macro's
-  /// atomic level load per datagram. Loop-thread confined.
+  /// Log-level gates cached once per loop iteration: the drop/error paths
+  /// can fire at line rate under an adversarial flood, so they must not pay
+  /// even the macro's atomic level load per datagram. Loop-thread confined.
   bool log_debug = false;
   bool log_warn = true;
 
@@ -383,8 +382,8 @@ void Reactor::enqueue_send(NetioTransport& t, net::Endpoint to,
   t.counters_.bytes_sent += frame.size();
 
   if (!options_.coalesce && !options_.batch_syscalls) {
-    // Fully immediate path: one sendto per frame, the legacy loop's cost
-    // model (the bench baseline inside netio).
+    // Fully immediate path: one sendto per frame (the bench baseline
+    // inside netio).
     Scratch::Stats& stats = scratch_->stats;
     if (send_datagram(t.fd_, to, frame)) {
       stats.datagrams_out.fetch_add(1, std::memory_order_relaxed);
@@ -711,18 +710,25 @@ void Reactor::iterate(std::uint64_t max_wait_us) {
   scratch_->log_debug = Logger::instance().enabled(LogLevel::kDebug);
   scratch_->log_warn = Logger::instance().enabled(LogLevel::kWarn);
   run_tasks();
-  wheel_.advance(now_us());
   flush_all();
   reap_graveyard();
 
-  std::uint64_t wait_us = max_wait_us;
-  if (!wheel_.empty()) {
-    // Bound the sleep to one wheel tick so due timers are observed with at
-    // most a tick of slack.
-    wait_us = std::min(wait_us, options_.timer_tick_us);
+  // Timers run only after the sockets are read: a timer that came due
+  // while the loop was stalled must see the datagrams that queued in the
+  // same stall (a parent's epoch firing before its children's queued
+  // updates would time every child out). An overdue timer therefore turns
+  // the wait into a non-blocking poll rather than running first.
+  int timeout_ms = 0;
+  if (!wheel_.has_due(now_us())) {
+    std::uint64_t wait_us = max_wait_us;
+    if (!wheel_.empty()) {
+      // Bound the sleep to one wheel tick so due timers are observed with
+      // at most a tick of slack.
+      wait_us = std::min(wait_us, options_.timer_tick_us);
+    }
+    timeout_ms =
+        static_cast<int>(std::min<std::uint64_t>(wait_us / 1000 + 1, 100));
   }
-  const int timeout_ms =
-      static_cast<int>(std::min<std::uint64_t>(wait_us / 1000 + 1, 100));
 
   epoll_event events[kMaxEpollEvents];
   const int ready =

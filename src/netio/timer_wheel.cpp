@@ -98,6 +98,20 @@ void TimerWheel::advance(std::uint64_t now_us) {
   }
 }
 
+bool TimerWheel::has_due(std::uint64_t now_us) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::uint64_t tick_now = now_us / tick_us_;
+  if (count_ == 0 || tick_now <= last_tick_) return false;
+  const std::uint64_t visit =
+      std::min<std::uint64_t>(tick_now - last_tick_, slots_.size());
+  for (std::uint64_t t = 1; t <= visit; ++t) {
+    for (const Entry& entry : slots_[(last_tick_ + t) % slots_.size()]) {
+      if (entry.deadline_us <= now_us) return true;
+    }
+  }
+  return false;
+}
+
 bool TimerWheel::empty() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return count_ == 0;

@@ -21,9 +21,7 @@ namespace dat::netio {
 /// shard may arm or cancel timers while another thread drives the wheel.
 ///
 /// Resolution is one tick (default 1024 us): a timer never fires early, and
-/// fires at most ~one tick late once advance() observes the deadline — the
-/// same order of slack the legacy poll loop had from its millisecond poll
-/// timeout.
+/// fires at most ~one tick late once advance() observes the deadline.
 class TimerWheel {
  public:
   TimerWheel(std::uint64_t tick_us, std::size_t slot_count);
@@ -43,6 +41,11 @@ class TimerWheel {
   /// the calling thread. Callbacks run outside the lock and may freely
   /// schedule() or cancel().
   void advance(std::uint64_t now_us);
+
+  /// Whether advance(now_us) would fire anything: some entry in the slots
+  /// the cursor would visit has a deadline <= now_us. Cancelled entries
+  /// still count (advance reaps them). Thread-safe.
+  [[nodiscard]] bool has_due(std::uint64_t now_us) const;
 
   [[nodiscard]] bool empty() const;
   [[nodiscard]] std::size_t size() const;

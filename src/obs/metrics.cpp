@@ -20,6 +20,20 @@ std::string series_key(const std::string& name, const Labels& labels) {
   return key;
 }
 
+/// Hash of a sample's series identity (name, type, labels).
+std::size_t series_hash(const Sample& s) {
+  const std::hash<std::string> h;
+  std::size_t seed = h(s.name) ^ static_cast<std::size_t>(s.type);
+  const auto mix = [&seed](std::size_t v) {
+    seed ^= v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
+  };
+  for (const auto& [k, v] : s.labels) {
+    mix(h(k));
+    mix(h(v));
+  }
+  return seed;
+}
+
 }  // namespace
 
 Labels canonical_labels(Labels labels) {
@@ -79,16 +93,28 @@ double quantile_from_buckets(std::span<const std::uint64_t> buckets,
 }
 
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
+  if (indexed_ > samples.size()) {  // samples were dropped: re-index all
+    index_.clear();
+    indexed_ = 0;
+  }
+  for (; indexed_ < samples.size(); ++indexed_) {
+    index_.emplace(series_hash(samples[indexed_]), indexed_);
+  }
   for (const Sample& in : other.samples) {
+    const std::size_t hash = series_hash(in);
     Sample* out = nullptr;
-    for (Sample& s : samples) {
+    const auto [first, last] = index_.equal_range(hash);
+    for (auto it = first; it != last; ++it) {
+      Sample& s = samples[it->second];
       if (s.name == in.name && s.type == in.type && s.labels == in.labels) {
         out = &s;
         break;
       }
     }
     if (out == nullptr) {
+      index_.emplace(hash, samples.size());
       samples.push_back(in);
+      indexed_ = samples.size();
       continue;
     }
     out->value += in.value;
@@ -117,14 +143,14 @@ MetricsSnapshot MetricsSnapshot::with_label(const std::string& key,
 }
 
 MetricsSnapshot MetricsSnapshot::rollup(const std::string& drop_key) const {
-  MetricsSnapshot out;
-  for (Sample s : samples) {
+  MetricsSnapshot stripped;
+  stripped.samples = samples;
+  for (Sample& s : stripped.samples) {
     std::erase_if(s.labels,
                   [&](const auto& kv) { return kv.first == drop_key; });
-    MetricsSnapshot one;
-    one.samples.push_back(std::move(s));
-    out.merge(one);
   }
+  MetricsSnapshot out;
+  out.merge(stripped);  // sums the series that became identical
   return out;
 }
 

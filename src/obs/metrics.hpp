@@ -10,6 +10,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -139,7 +140,11 @@ struct MetricsSnapshot {
 
   /// Appends `other`, summing into any existing sample with the same name,
   /// type and labels (counters/histograms add; gauges add, which makes a
-  /// roll-up gauge the cluster total).
+  /// roll-up gauge the cluster total). New series keep first-seen order.
+  /// Lookups go through an index that persists across calls, so merging n
+  /// snapshots costs time linear in their total size. The index follows
+  /// samples appended between merges; a sample whose name, type or labels
+  /// are rewritten in place after a merge is not re-keyed.
   void merge(const MetricsSnapshot& other);
 
   /// Adds (or overwrites) one label on every sample.
@@ -165,6 +170,12 @@ struct MetricsSnapshot {
   /// collector reading dat_tree_children{key=...} per aggregate key.
   [[nodiscard]] std::vector<std::pair<std::string, double>> values_by_label(
       const std::string& name, const std::string& label_key) const;
+
+ private:
+  /// merge()'s lookup index: series hash -> position in `samples`, covering
+  /// samples[0, indexed_).
+  std::unordered_multimap<std::size_t, std::size_t> index_;
+  std::size_t indexed_ = 0;
 };
 
 /// Lock-light metrics registry: one per node (plus one per cluster for

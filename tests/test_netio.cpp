@@ -1,6 +1,6 @@
 // The netio subsystem itself: timer wheel, buffer arena, batch frame
-// container, coalesced send/decode, kernel truncation, legacy interop and
-// the threaded multi-shard pool (the TSan preset runs this file to vet the
+// container, coalesced send/decode, kernel truncation, receive-before-timer
+// ordering and the threaded multi-shard pool (the TSan preset runs this file to vet the
 // cross-shard timer and task paths).
 
 #include "netio/reactor.hpp"
@@ -8,13 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/frame.hpp"
 #include "net/rpc.hpp"
-#include "net/udp_transport.hpp"
 #include "netio/buffer_arena.hpp"
 #include "netio/netio_network.hpp"
 #include "netio/reactor_pool.hpp"
@@ -214,39 +214,28 @@ TEST(NetioNetworkTest, KernelTruncationIsCountedAndDropped) {
   EXPECT_EQ(network.reactor().counters().truncated_in, 1u);
 }
 
-TEST(NetioNetworkTest, InteroperatesWithLegacyPollBackend) {
-  // Both backends live on loopback, so sockets from one can message the
-  // other; the legacy loop must split netio's coalesced batches and netio
-  // must accept the legacy loop's raw frames.
-  NetioNetwork reactor_net;
-  net::UdpNetwork legacy_net;
-  auto& modern = reactor_net.add_node();
-  auto& old = legacy_net.add_node();
+TEST(NetioNetworkTest, QueuedDatagramsRunBeforeOverdueTimers) {
+  // A loop that stalls past a timer deadline must still read the datagrams
+  // that queued during the stall before it runs the timer: a DAT parent's
+  // epoch would otherwise fire while every child update still sits in the
+  // socket buffer, and the children would look expired.
+  NetioNetwork sender_net;
+  NetioNetwork receiver_net;
+  auto& sender = sender_net.add_node();
+  auto& receiver = receiver_net.add_node();
+  std::vector<std::string> order;
+  receiver.set_receive_handler(
+      [&](net::Endpoint, const net::Message&) { order.emplace_back("recv"); });
+  receiver.set_timer(5'000, [&] { order.emplace_back("timer"); });
 
-  int old_received = 0;
-  old.set_receive_handler(
-      [&](net::Endpoint, const net::Message&) { ++old_received; });
-  int modern_received = 0;
-  modern.set_receive_handler(
-      [&](net::Endpoint, const net::Message&) { ++modern_received; });
+  sender.send(receiver.local(), one_way("update"));
+  sender_net.reactor().poll_once(0);  // flush the datagram onto the wire
+  ASSERT_EQ(sender_net.reactor().counters().datagrams_out, 1u);
 
-  constexpr int kWave = 6;
-  for (int i = 0; i < kWave; ++i) modern.send(old.local(), one_way("n2l"));
-  for (int i = 0; i < 200 && old_received < kWave; ++i) {
-    reactor_net.run_for(5'000);  // flush netio's coalesced batch
-    legacy_net.run_for(5'000);
-  }
-  EXPECT_EQ(old_received, kWave);
-  EXPECT_GE(reactor_net.reactor().counters().coalesced_datagrams_out, 1u);
-
-  old.send(modern.local(), one_way("l2n"));
-  for (int i = 0; i < 200 && modern_received < 1; ++i) {
-    legacy_net.run_for(5'000);
-    reactor_net.run_for(5'000);
-  }
-  EXPECT_EQ(modern_received, 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  receiver_net.reactor().poll_once(0);
+  EXPECT_EQ(order, (std::vector<std::string>{"recv", "timer"}));
 }
-
 TEST(NetioNetworkTest, MmsgKnobFallsBackCleanly) {
   // Whatever the platform compiled in, the portable path must deliver.
   ReactorOptions options;

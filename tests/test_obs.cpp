@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <map>
@@ -185,6 +186,54 @@ TEST(MetricsSnapshotTest, MergeWithLabelAndRollup) {
   ASSERT_NE(hops, nullptr);
   EXPECT_EQ(hops->count, 2u);
   EXPECT_EQ(hops->sum, 7u);
+
+  // Fleet scale: many labelled snapshots sharing (name, labels) keys, merged
+  // twice over. Every series must sum exactly once per input and keep the
+  // order of its first appearance — what a linear-search merge produces.
+  constexpr int kNodes = 64;
+  constexpr int kKeys = 16;
+  obs::MetricsSnapshot fleet;
+  std::vector<obs::Sample> expected;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int n = 0; n < kNodes; ++n) {
+      obs::MetricsRegistry reg;
+      for (int k = 0; k < kKeys; ++k) {
+        reg.counter("msgs_total", {{"key", std::to_string(k)}}).inc(n + 1);
+        reg.histogram("lat_us", {{"key", std::to_string(k)}}).observe(n);
+      }
+      const obs::MetricsSnapshot part =
+          reg.snapshot().with_label("rack", std::to_string(n % 4));
+      fleet.merge(part);
+      for (const obs::Sample& in : part.samples) {
+        const auto it = std::find_if(
+            expected.begin(), expected.end(), [&](const obs::Sample& e) {
+              return e.name == in.name && e.type == in.type &&
+                     e.labels == in.labels;
+            });
+        if (it == expected.end()) {
+          expected.push_back(in);
+        } else {
+          it->value += in.value;
+          it->count += in.count;
+          it->sum += in.sum;
+        }
+      }
+    }
+  }
+  ASSERT_EQ(fleet.samples.size(), expected.size());
+  EXPECT_EQ(fleet.samples.size(), static_cast<std::size_t>(2 * kKeys * 4));
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(fleet.samples[i].name, expected[i].name) << i;
+    EXPECT_EQ(fleet.samples[i].labels, expected[i].labels) << i;
+    EXPECT_DOUBLE_EQ(fleet.samples[i].value, expected[i].value) << i;
+    EXPECT_EQ(fleet.samples[i].count, expected[i].count) << i;
+    EXPECT_EQ(fleet.samples[i].sum, expected[i].sum) << i;
+  }
+  const obs::MetricsSnapshot by_key = fleet.rollup("rack");
+  ASSERT_EQ(by_key.samples.size(), static_cast<std::size_t>(2 * kKeys));
+  const obs::Sample* key3 = by_key.find("msgs_total", {{"key", "3"}});
+  ASSERT_NE(key3, nullptr);
+  EXPECT_DOUBLE_EQ(key3->value, 2.0 * kNodes * (kNodes + 1) / 2);
 }
 
 TEST(MetricsSnapshotTest, KindMismatchKeepsSeriesSeparate) {

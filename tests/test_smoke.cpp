@@ -10,7 +10,6 @@
 #include "gma/producer.hpp"
 #include "maan/attribute.hpp"
 #include "net/sim_transport.hpp"
-#include "net/udp_transport.hpp"
 #include "sim/engine.hpp"
 #include "trace/cpu_trace.hpp"
 

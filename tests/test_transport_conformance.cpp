@@ -1,9 +1,9 @@
-// One behavioural contract, three transport fabrics. Every Transport
-// implementation (simulated, legacy poll loop, netio epoll reactor — the
-// latter in both its batched and portable syscall modes) must agree on
-// delivery, oversized-datagram handling, dead-endpoint behaviour, timer
-// ordering and remove-while-pending safety, so the protocol stack above can
-// switch backends without behavioural drift.
+// One behavioural contract, two transport fabrics. Every Transport
+// implementation (simulated, and the netio epoll reactor in both its batched
+// and portable syscall modes) must agree on delivery, oversized-datagram
+// handling, dead-endpoint behaviour, timer ordering and remove-while-pending
+// safety, so the protocol stack above behaves the same on the simulator and
+// on real sockets.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 
 #include "net/rpc.hpp"
 #include "net/sim_transport.hpp"
-#include "net/udp_transport.hpp"
 #include "netio/netio_network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -68,18 +67,18 @@ class SimFabric final : public Fabric {
 
 class HostFabric final : public Fabric {
  public:
-  explicit HostFabric(std::unique_ptr<NodeHostNetwork> network)
-      : network_(std::move(network)) {}
-  Transport& add_node() override { return network_->add_node(); }
-  void remove_node(Endpoint ep) override { network_->remove_node(ep); }
+  explicit HostFabric(const netio::ReactorOptions& options = {})
+      : network_(options) {}
+  Transport& add_node() override { return network_.add_node(); }
+  void remove_node(Endpoint ep) override { network_.remove_node(ep); }
   bool pump_until(const std::function<bool()>& done,
                   std::uint64_t max_us) override {
-    return network_->run_while([&] { return !done(); }, max_us);
+    return network_.run_while([&] { return !done(); }, max_us);
   }
   [[nodiscard]] bool delivers_oversized() const override { return false; }
 
  private:
-  std::unique_ptr<NodeHostNetwork> network_;
+  netio::NetioNetwork network_;
 };
 
 struct FabricCase {
@@ -90,21 +89,12 @@ struct FabricCase {
 std::vector<FabricCase> AllFabrics() {
   return {
       {"Sim", [] { return std::make_unique<SimFabric>(); }},
-      {"LegacyPoll",
-       [] {
-         return std::make_unique<HostFabric>(std::make_unique<UdpNetwork>());
-       }},
-      {"Netio",
-       [] {
-         return std::make_unique<HostFabric>(
-             std::make_unique<netio::NetioNetwork>());
-       }},
+      {"Netio", [] { return std::make_unique<HostFabric>(); }},
       {"NetioPortable",
        [] {
          netio::ReactorOptions options;
          options.batch_syscalls = false;  // force recvfrom/sendto fallback
-         return std::make_unique<HostFabric>(
-             std::make_unique<netio::NetioNetwork>(options));
+         return std::make_unique<HostFabric>(options);
        }},
   };
 }

@@ -1,19 +1,21 @@
-// UDP transport and a small real-socket overlay on loopback. Wall-clock
-// bounded: kept to a handful of nodes so the whole file runs in seconds.
-
-#include "net/udp_transport.hpp"
+// UDP sockets on the netio network and a small real-socket overlay on
+// loopback. Wall-clock bounded: kept to a handful of nodes so the whole file
+// runs in seconds.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "chord/node.hpp"
 #include "net/rpc.hpp"
+#include "netio/netio_network.hpp"
 
 namespace {
 
 using namespace dat;
 using namespace dat::net;
+using netio::NetioNetwork;
 
 TEST(UdpEndpoint, PackUnpack) {
   const Endpoint ep = make_udp_endpoint(0x7F000001, 8080);
@@ -24,7 +26,7 @@ TEST(UdpEndpoint, PackUnpack) {
 }
 
 TEST(UdpNetworkTest, BindsDistinctLoopbackPorts) {
-  UdpNetwork network;
+  NetioNetwork network;
   auto& a = network.add_node();
   auto& b = network.add_node();
   EXPECT_NE(a.local(), b.local());
@@ -33,7 +35,7 @@ TEST(UdpNetworkTest, BindsDistinctLoopbackPorts) {
 }
 
 TEST(UdpNetworkTest, DatagramRoundTrip) {
-  UdpNetwork network;
+  NetioNetwork network;
   auto& a = network.add_node();
   auto& b = network.add_node();
   std::string got;
@@ -54,7 +56,7 @@ TEST(UdpNetworkTest, DatagramRoundTrip) {
 }
 
 TEST(UdpNetworkTest, TimersFireRoughlyOnTime) {
-  UdpNetwork network;
+  NetioNetwork network;
   auto& a = network.add_node();
   bool fired = false;
   std::uint64_t at = 0;
@@ -70,7 +72,7 @@ TEST(UdpNetworkTest, TimersFireRoughlyOnTime) {
 }
 
 TEST(UdpNetworkTest, CancelledTimerDoesNotFire) {
-  UdpNetwork network;
+  NetioNetwork network;
   auto& a = network.add_node();
   bool fired = false;
   const auto id = a.set_timer(30'000, [&] { fired = true; });
@@ -80,7 +82,7 @@ TEST(UdpNetworkTest, CancelledTimerDoesNotFire) {
 }
 
 TEST(UdpNetworkTest, RpcOverRealSockets) {
-  UdpNetwork network;
+  NetioNetwork network;
   auto& ta = network.add_node();
   auto& tb = network.add_node();
   RpcManager client(ta);
@@ -101,7 +103,7 @@ TEST(UdpNetworkTest, RpcOverRealSockets) {
 }
 
 TEST(UdpNetworkTest, RpcTimeoutAgainstClosedPort) {
-  UdpNetwork network;
+  NetioNetwork network;
   auto& ta = network.add_node();
   auto& dead = network.add_node();
   const Endpoint dead_ep = dead.local();
@@ -127,7 +129,7 @@ TEST(UdpNetworkTest, RpcTimeoutAgainstClosedPort) {
 TEST(UdpChord, SmallRingFormsOverLoopback) {
   constexpr std::size_t kNodes = 5;
   const IdSpace space(24);
-  UdpNetwork network;
+  NetioNetwork network;
   chord::NodeOptions options;
   options.stabilize_interval_us = 30'000;
   options.fix_fingers_interval_us = 10'000;
