@@ -1,8 +1,10 @@
 // Alerting + fault tolerance, the "system diagnostics" consumer the paper's
 // introduction motivates: a 64-node Grid aggregates its load through THREE
-// replicated balanced-DAT trees; a ThresholdMonitor watches the global
-// average and raises alerts when a load storm pushes it over 85 %, and the
-// replicated query keeps answering through a root crash.
+// replicated balanced-DAT trees; every node's self-monitor also publishes
+// its load gauge into an average meta-tree, and an SLO rule on node 0
+// raises an alert when a load storm pushes the Grid-wide average over 85 %
+// (two bad epochs to fire, two good ones to clear). The replicated query
+// keeps answering through a root crash.
 //
 // Run: ./build/examples/alerting
 
@@ -11,8 +13,8 @@
 #include <vector>
 
 #include "dat/replicated.hpp"
-#include "gma/threshold_monitor.hpp"
 #include "harness/sim_cluster.hpp"
+#include "obs/selfmon.hpp"
 
 int main() {
   using namespace dat;
@@ -21,6 +23,11 @@ int main() {
   harness::ClusterOptions options;
   options.seed = 99;
   options.dat.epoch_us = 500'000;
+  options.with_selfmon = true;
+  options.selfmon.epoch_us = 1'000'000;
+  options.selfmon.series = {{"load", "app_load_pct", core::AggregateKind::kAvg}};
+  options.selfmon.rules =
+      obs::SloRuleset::parse("load-high load avg < 85 fire 2 clear 2");
   std::printf("bootstrapping %zu-node overlay...\n", kNodes);
   harness::SimCluster cluster(kNodes, std::move(options));
   if (!cluster.wait_converged(600'000'000)) {
@@ -28,8 +35,17 @@ int main() {
     return 1;
   }
 
-  // Shared, controllable load signal (a real deployment reads /proc).
+  // Shared, controllable load signal (a real deployment reads /proc); each
+  // node also exports it as a gauge its self-monitor publishes.
   double base_load = 40.0;
+  const auto set_load = [&](double load) {
+    base_load = load;
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      cluster.node(i).telemetry().registry.gauge("app_load_pct").set(
+          static_cast<std::int64_t>(load));
+    }
+  };
+  set_load(base_load);
   std::vector<std::unique_ptr<core::ReplicatedAggregate>> replicas;
   for (std::size_t i = 0; i < kNodes; ++i) {
     replicas.push_back(std::make_unique<core::ReplicatedAggregate>(
@@ -40,51 +56,47 @@ int main() {
       return base_load + jitter;
     });
   }
-  // Plain (single-tree) aggregate for the threshold monitor.
-  Id plain_key = 0;
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    plain_key = cluster.dat(i).start_aggregate(
-        "cpu-usage-avg", core::AggregateKind::kAvg,
-        chord::RoutingScheme::kBalanced,
-        [&base_load]() { return base_load; });
-  }
-  (void)plain_key;
   cluster.run_for(8'000'000);
 
-  gma::ThresholdMonitor::Options alert_options;
-  alert_options.trigger = 85.0;
-  alert_options.clear = 70.0;
-  alert_options.poll_interval_us = 1'000'000;
-  gma::ThresholdMonitor monitor(
-      cluster.dat(0), "cpu-usage-avg", alert_options,
-      [&](double value, const core::GlobalValue& global) {
-        std::printf("[t=%6.1fs]  ALERT: grid avg load %.1f%% over %llu hosts\n",
-                    cluster.engine().now() / 1e6, value,
-                    static_cast<unsigned long long>(global.state.count));
-      });
-  monitor.start();
+  // Node 0 watches its own rule once per telemetry epoch and reports each
+  // clear -> firing transition: one alert per excursion.
+  const obs::SelfMonitor& monitor = *cluster.selfmon(0);
+  unsigned alerts_fired = 0;
+  bool was_firing = false;
+  const auto watch = [&](int seconds) {
+    for (int s = 0; s < seconds; ++s) {
+      cluster.run_for(1'000'000);
+      const obs::Alert alert = monitor.alerts().front();
+      if (alert.firing && !was_firing) {
+        ++alerts_fired;
+        std::printf("[t=%6.1fs]  ALERT: grid avg load %.1f%%\n",
+                    cluster.engine().now() / 1e6, alert.value);
+      }
+      was_firing = alert.firing;
+    }
+  };
 
   std::printf("\nphase 1: normal load (%.0f%%), no alerts expected\n",
               base_load);
-  cluster.run_for(10'000'000);
+  watch(10);
 
   std::printf("phase 2: load storm begins\n");
-  base_load = 95.0;
-  cluster.run_for(10'000'000);
+  set_load(95.0);
+  watch(10);
 
-  std::printf("phase 3: storm hovers at 80%% (inside hysteresis band)\n");
-  base_load = 80.0;
-  cluster.run_for(10'000'000);
+  std::printf("phase 3: storm eases to 80%% (under the level: alert clears)\n");
+  set_load(80.0);
+  watch(10);
 
-  std::printf("phase 4: recovery to 50%%, monitor re-arms\n");
-  base_load = 50.0;
-  cluster.run_for(10'000'000);
+  std::printf("phase 4: recovery to 50%%\n");
+  set_load(50.0);
+  watch(10);
 
   std::printf("phase 5: second storm\n");
-  base_load = 92.0;
-  cluster.run_for(10'000'000);
-  std::printf("alerts fired: %llu (expected 2: one per storm)\n\n",
-              static_cast<unsigned long long>(monitor.alerts_fired()));
+  set_load(92.0);
+  watch(10);
+  std::printf("alerts fired: %u (expected 2: one per storm)\n\n",
+              alerts_fired);
 
   // Fault tolerance: crash the root of replica tree 0, query immediately.
   const Id victim_root =

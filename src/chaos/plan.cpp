@@ -1,6 +1,10 @@
 #include "chaos/plan.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -28,37 +32,44 @@ const char* to_string(FaultKind k) noexcept {
       return "verify";
     case FaultKind::kRebalance:
       return "rebalance";
-    case FaultKind::kSigkill:
-      return "sigkill";
-    case FaultKind::kSigterm:
-      return "sigterm";
     case FaultKind::kSigabrt:
       return "sigabrt";
   }
   return "?";
 }
 
-std::string FaultEvent::describe() const {
-  std::ostringstream oss;
-  oss << "t=" << at_us / 1000 << "ms " << to_string(kind);
-  switch (kind) {
+bool targets_slot(FaultKind k) noexcept {
+  switch (k) {
     case FaultKind::kCrash:
     case FaultKind::kLeave:
     case FaultKind::kRestart:
     case FaultKind::kPartition:
     case FaultKind::kHeal:
-    case FaultKind::kSigkill:
-    case FaultKind::kSigterm:
     case FaultKind::kSigabrt:
-      oss << " slot=" << slot;
-      break;
+      return true;
     case FaultKind::kLossBurst:
     case FaultKind::kLatencyBurst:
-      oss << " x=" << magnitude << " for=" << duration_us / 1000 << "ms";
-      break;
     case FaultKind::kVerify:
     case FaultKind::kRebalance:
-      break;
+      return false;
+  }
+  return false;
+}
+
+namespace {
+
+bool is_burst(FaultKind k) noexcept {
+  return k == FaultKind::kLossBurst || k == FaultKind::kLatencyBurst;
+}
+
+}  // namespace
+
+std::string FaultEvent::describe() const {
+  std::ostringstream oss;
+  oss << "t=" << at_us / 1000 << "ms " << to_string(kind);
+  if (targets_slot(kind)) oss << " slot=" << slot;
+  if (is_burst(kind)) {
+    oss << " x=" << magnitude << " for=" << duration_us / 1000 << "ms";
   }
   return oss.str();
 }
@@ -111,16 +122,6 @@ ChaosPlan& ChaosPlan::rebalance(std::uint64_t at_us) {
   return *this;
 }
 
-ChaosPlan& ChaosPlan::sigkill(std::uint64_t at_us, std::size_t slot) {
-  events.push_back({at_us, FaultKind::kSigkill, slot, 0.0, 0});
-  return *this;
-}
-
-ChaosPlan& ChaosPlan::sigterm(std::uint64_t at_us, std::size_t slot) {
-  events.push_back({at_us, FaultKind::kSigterm, slot, 0.0, 0});
-  return *this;
-}
-
 ChaosPlan& ChaosPlan::sigabrt(std::uint64_t at_us, std::size_t slot) {
   events.push_back({at_us, FaultKind::kSigabrt, slot, 0.0, 0});
   return *this;
@@ -145,30 +146,14 @@ std::string ChaosPlan::to_spec() const {
   std::ostringstream oss;
   oss << "seed " << seed << "\n";
   oss << "nodes " << nodes << "\n";
-  // Only non-default assignment/mode lines are spelled out, keeping legacy
-  // plans' parse -> to_spec round trips byte-identical.
+  // Only a non-default assignment line is spelled out, keeping plans
+  // without one round-tripping byte-identically.
   if (random_ids) oss << "assign random\n";
-  if (process_mode) oss << "mode process\n";
   for (const FaultEvent& e : events) {
     oss << e.at_us / 1000 << " " << to_string(e.kind);
-    switch (e.kind) {
-      case FaultKind::kCrash:
-      case FaultKind::kLeave:
-      case FaultKind::kRestart:
-      case FaultKind::kPartition:
-      case FaultKind::kHeal:
-      case FaultKind::kSigkill:
-      case FaultKind::kSigterm:
-      case FaultKind::kSigabrt:
-        oss << " " << e.slot;
-        break;
-      case FaultKind::kLossBurst:
-      case FaultKind::kLatencyBurst:
-        oss << " " << e.magnitude << " " << e.duration_us / 1000;
-        break;
-      case FaultKind::kVerify:
-      case FaultKind::kRebalance:
-        break;
+    if (targets_slot(e.kind)) oss << " " << e.slot;
+    if (is_burst(e.kind)) {
+      oss << " " << e.magnitude << " " << e.duration_us / 1000;
     }
     oss << "\n";
   }
@@ -182,6 +167,41 @@ namespace {
                               " in line: \"" + line + "\"");
 }
 
+/// Reads the next whitespace-separated field as an unsigned decimal: digits
+/// only, so a sign (which the stream extractors and std::stoull would wrap
+/// around) or a trailing letter is an error.
+std::uint64_t next_u64(std::istringstream& fields, const std::string& line,
+                       const char* what) {
+  std::string token;
+  std::uint64_t value = 0;
+  if (fields >> token) {
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    if (ec == std::errc() && ptr == end) return value;
+  }
+  bad_line(line, what);
+}
+
+/// The kind spelled `verb` in a spec (the inverse of to_string).
+bool kind_from(const std::string& verb, FaultKind& kind) {
+  for (auto k = static_cast<int>(FaultKind::kCrash);
+       k <= static_cast<int>(FaultKind::kSigabrt); ++k) {
+    if (verb == to_string(static_cast<FaultKind>(k))) {
+      kind = static_cast<FaultKind>(k);
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Milliseconds to microseconds, rejecting values whose product wraps.
+std::uint64_t ms_to_us(std::uint64_t ms, const std::string& line) {
+  if (ms > std::numeric_limits<std::uint64_t>::max() / 1000) {
+    bad_line(line, "time out of range");
+  }
+  return ms * 1000;
+}
+
 }  // namespace
 
 ChaosPlan ChaosPlan::parse(std::string_view spec) {
@@ -192,7 +212,6 @@ ChaosPlan ChaosPlan::parse(std::string_view spec) {
   bool seen_seed = false;
   bool seen_nodes = false;
   bool seen_assign = false;
-  bool seen_mode = false;
   while (std::getline(input, line)) {
     const auto first = line.find_first_not_of(" \t\r");
     if (first == std::string::npos || line[first] == '#') continue;
@@ -203,13 +222,13 @@ ChaosPlan ChaosPlan::parse(std::string_view spec) {
     if (head == "seed") {
       if (seen_seed) bad_line(line, "duplicate seed");
       seen_seed = true;
-      if (!(fields >> plan.seed)) bad_line(line, "bad seed");
+      plan.seed = next_u64(fields, line, "bad seed");
       continue;
     }
     if (head == "nodes") {
       if (seen_nodes) bad_line(line, "duplicate nodes");
       seen_nodes = true;
-      if (!(fields >> plan.nodes)) bad_line(line, "bad node count");
+      plan.nodes = next_u64(fields, line, "bad node count");
       if (plan.nodes == 0) bad_line(line, "node count must be positive");
       continue;
     }
@@ -223,84 +242,69 @@ ChaosPlan ChaosPlan::parse(std::string_view spec) {
       else bad_line(line, "unknown assignment mode");
       continue;
     }
-    if (head == "mode") {
-      if (seen_mode) bad_line(line, "duplicate mode");
-      seen_mode = true;
-      std::string mode;
-      if (!(fields >> mode)) bad_line(line, "missing mode");
-      if (mode == "process") plan.process_mode = true;
-      else if (mode == "sim") plan.process_mode = false;
-      else bad_line(line, "unknown mode");
-      continue;
-    }
 
-    std::uint64_t at_ms = 0;
-    try {
-      at_ms = std::stoull(head);
-    } catch (const std::exception&) {
-      bad_line(line, "expected a millisecond timestamp");
-    }
-    const std::uint64_t at_us = at_ms * 1000;
+    std::istringstream time_field(head);
+    const std::uint64_t at_us = ms_to_us(
+        next_u64(time_field, line, "expected a millisecond timestamp"), line);
 
     std::string verb;
     if (!(fields >> verb)) bad_line(line, "missing event verb");
-    if (verb == "crash" || verb == "leave" || verb == "restart" ||
-        verb == "partition" || verb == "heal" || verb == "sigkill" ||
-        verb == "sigterm" || verb == "sigabrt") {
-      std::size_t slot = 0;
-      if (!(fields >> slot)) bad_line(line, "missing slot");
-      if (verb == "crash") plan.crash(at_us, slot);
-      else if (verb == "leave") plan.leave(at_us, slot);
-      else if (verb == "restart") plan.restart(at_us, slot);
-      else if (verb == "partition") plan.partition(at_us, slot);
-      else if (verb == "sigkill") plan.sigkill(at_us, slot);
-      else if (verb == "sigterm") plan.sigterm(at_us, slot);
-      else if (verb == "sigabrt") plan.sigabrt(at_us, slot);
-      else plan.heal(at_us, slot);
-    } else if (verb == "loss" || verb == "latency") {
-      double magnitude = 0.0;
-      std::uint64_t duration_ms = 0;
-      if (!(fields >> magnitude >> duration_ms)) {
+    FaultEvent event;
+    event.at_us = at_us;
+    if (!kind_from(verb, event.kind)) bad_line(line, "unknown event verb");
+    if (targets_slot(event.kind)) {
+      event.slot = next_u64(fields, line, "missing slot");
+    }
+    if (is_burst(event.kind)) {
+      if (!(fields >> event.magnitude)) {
         bad_line(line, "expected <magnitude> <duration_ms>");
       }
-      if (verb == "loss") plan.loss_burst(at_us, magnitude, duration_ms * 1000);
-      else plan.latency_burst(at_us, magnitude, duration_ms * 1000);
-    } else if (verb == "verify") {
-      plan.verify(at_us);
-    } else if (verb == "rebalance") {
-      plan.rebalance(at_us);
-    } else {
-      bad_line(line, "unknown event verb");
+      event.duration_us = ms_to_us(
+          next_u64(fields, line, "expected <magnitude> <duration_ms>"), line);
+      // The same ranges SimNetwork enforces, checked before any event runs.
+      const double m = event.magnitude;
+      if (event.kind == FaultKind::kLossBurst && !(m >= 0.0 && m < 1.0)) {
+        bad_line(line, "loss rate must be in [0, 1)");
+      }
+      if (event.kind == FaultKind::kLatencyBurst &&
+          !(m >= 0.0 && std::isfinite(m))) {
+        bad_line(line, "latency multiplier must be finite and >= 0");
+      }
     }
+    plan.events.push_back(event);
   }
   // Victim slots can only be range-checked once the node count is final
   // (the `nodes` line may legally follow the events it governs).
   for (const FaultEvent& e : plan.events) {
-    switch (e.kind) {
-      case FaultKind::kCrash:
-      case FaultKind::kLeave:
-      case FaultKind::kRestart:
-      case FaultKind::kPartition:
-      case FaultKind::kHeal:
-      case FaultKind::kSigkill:
-      case FaultKind::kSigterm:
-      case FaultKind::kSigabrt:
-        if (e.slot >= plan.nodes) {
-          throw std::invalid_argument(
-              "ChaosPlan::parse: slot " + std::to_string(e.slot) +
-              " out of range for " + std::to_string(plan.nodes) +
-              " nodes in event: \"" + e.describe() + "\"");
-        }
-        break;
-      case FaultKind::kLossBurst:
-      case FaultKind::kLatencyBurst:
-      case FaultKind::kVerify:
-      case FaultKind::kRebalance:
-        break;
+    if (targets_slot(e.kind) && e.slot >= plan.nodes) {
+      throw std::invalid_argument(
+          "ChaosPlan::parse: slot " + std::to_string(e.slot) +
+          " out of range for " + std::to_string(plan.nodes) +
+          " nodes in event: \"" + e.describe() + "\"");
     }
   }
   plan.sort_events();
   return plan;
+}
+
+ChaosPlan ChaosPlan::load(const std::string& path, const std::string& campaign,
+                          std::uint64_t seed, std::size_t nodes,
+                          bool processes) {
+  if (!path.empty()) {
+    std::ifstream in(path);
+    if (!in) throw std::invalid_argument("cannot open plan file " + path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return parse(text.str());
+  }
+  if (campaign == "canonical") {
+    return processes ? process_canonical(seed, nodes) : canonical(seed, nodes);
+  }
+  if (campaign == "selfmon") {
+    return processes ? process_selfmon(seed, nodes) : selfmon(seed, nodes);
+  }
+  if (campaign == "rebalance-skew") return rebalance_skew(seed, nodes);
+  throw std::invalid_argument("unknown --campaign " + campaign);
 }
 
 ChaosPlan ChaosPlan::canonical(std::uint64_t seed, std::size_t nodes) {
@@ -349,56 +353,11 @@ ChaosPlan ChaosPlan::canonical(std::uint64_t seed, std::size_t nodes) {
   return plan;
 }
 
-ChaosPlan ChaosPlan::process_canonical(std::uint64_t seed, std::size_t nodes) {
-  if (nodes < 8) {
-    throw std::invalid_argument("ChaosPlan::process_canonical: need >= 8 nodes");
-  }
-  Rng rng(seed * 104729 + 31);
-  // Fisher-Yates over [1, nodes): slot 0 is the bootstrap seed every
-  // restarted daemon rejoins through, so it is never a victim.
-  std::vector<std::size_t> victims(nodes - 1);
-  for (std::size_t i = 0; i < victims.size(); ++i) victims[i] = i + 1;
-  for (std::size_t i = victims.size(); i > 1; --i) {
-    std::swap(victims[i - 1],
-              victims[static_cast<std::size_t>(
-                  rng.next_below(static_cast<std::uint64_t>(i)))]);
-  }
-  const std::size_t kills = std::max<std::size_t>(1, nodes / 4);   // 25%
-  const std::size_t terms = std::max<std::size_t>(1, nodes / 10);  // 10%
-  const std::size_t restarts = std::max<std::size_t>(1, kills / 2);
-
-  ChaosPlan plan;
-  plan.seed = seed;
-  plan.nodes = nodes;
-  plan.process_mode = true;
-  // Phase 1: baseline — the freshly booted fleet must converge and cover.
-  plan.verify(3'000'000);
-  // Phase 2: SIGKILL wave over 25% of the fleet, spread across ~2s.
-  for (std::size_t i = 0; i < kills; ++i) {
-    plan.sigkill(4'000'000 + i * (2'000'000 / kills), victims[i]);
-  }
-  plan.verify(15'000'000);
-  // Phase 3: half the killed slots come back with bumped incarnations.
-  for (std::size_t i = 0; i < restarts; ++i) {
-    plan.restart(16'000'000 + i * (2'000'000 / restarts), victims[i]);
-  }
-  plan.verify(28'000'000);
-  // Phase 4: SIGTERM wave over 10% — graceful drains whose aggregate
-  // conservation the supervisor checks per victim.
-  for (std::size_t i = 0; i < terms; ++i) {
-    plan.sigterm(29'000'000 + i * (2'000'000 / terms), victims[kills + i]);
-  }
-  plan.verify(40'000'000);
-  return plan;
-}
-
 namespace {
 
-/// Shared victim draw for the selfmon campaigns: a Fisher-Yates shuffle of
-/// [1, nodes) (slot 0 is the probe/bootstrap node), pure in (seed, nodes).
-std::vector<std::size_t> selfmon_victims(std::uint64_t seed,
-                                         std::size_t nodes) {
-  Rng rng(seed * 52361 + 7);
+/// A Fisher-Yates shuffle of [1, nodes) drawn from `rng`: slot 0 (the
+/// probe and bootstrap node) is never a victim.
+std::vector<std::size_t> shuffled_victims(Rng rng, std::size_t nodes) {
   std::vector<std::size_t> victims(nodes - 1);
   for (std::size_t i = 0; i < victims.size(); ++i) victims[i] = i + 1;
   for (std::size_t i = victims.size(); i > 1; --i) {
@@ -411,11 +370,48 @@ std::vector<std::size_t> selfmon_victims(std::uint64_t seed,
 
 }  // namespace
 
+ChaosPlan ChaosPlan::process_canonical(std::uint64_t seed, std::size_t nodes) {
+  if (nodes < 8) {
+    throw std::invalid_argument("ChaosPlan::process_canonical: need >= 8 nodes");
+  }
+  // Slot 0 is the bootstrap seed every restarted daemon rejoins through, so
+  // it is never a victim.
+  const std::vector<std::size_t> victims =
+      shuffled_victims(Rng(seed * 104729 + 31), nodes);
+  const std::size_t kills = std::max<std::size_t>(1, nodes / 4);   // 25%
+  const std::size_t terms = std::max<std::size_t>(1, nodes / 10);  // 10%
+  const std::size_t restarts = std::max<std::size_t>(1, kills / 2);
+
+  ChaosPlan plan;
+  plan.seed = seed;
+  plan.nodes = nodes;
+  // Phase 1: baseline — the freshly booted fleet must converge and cover.
+  plan.verify(3'000'000);
+  // Phase 2: crash wave over 25% of the fleet, spread across ~2s.
+  for (std::size_t i = 0; i < kills; ++i) {
+    plan.crash(4'000'000 + i * (2'000'000 / kills), victims[i]);
+  }
+  plan.verify(15'000'000);
+  // Phase 3: half the killed slots come back with bumped incarnations.
+  for (std::size_t i = 0; i < restarts; ++i) {
+    plan.restart(16'000'000 + i * (2'000'000 / restarts), victims[i]);
+  }
+  plan.verify(28'000'000);
+  // Phase 4: leave wave over 10% — graceful drains whose aggregate
+  // conservation the verifier checks.
+  for (std::size_t i = 0; i < terms; ++i) {
+    plan.leave(29'000'000 + i * (2'000'000 / terms), victims[kills + i]);
+  }
+  plan.verify(40'000'000);
+  return plan;
+}
+
 ChaosPlan ChaosPlan::selfmon(std::uint64_t seed, std::size_t nodes) {
   if (nodes < 4) {
     throw std::invalid_argument("ChaosPlan::selfmon: need >= 4 nodes");
   }
-  const std::vector<std::size_t> victims = selfmon_victims(seed, nodes);
+  const std::vector<std::size_t> victims =
+      shuffled_victims(Rng(seed * 52361 + 7), nodes);
   const std::size_t kills = std::max<std::size_t>(1, nodes / 4);  // 25%
 
   ChaosPlan plan;
@@ -440,20 +436,20 @@ ChaosPlan ChaosPlan::process_selfmon(std::uint64_t seed, std::size_t nodes) {
   if (nodes < 8) {
     throw std::invalid_argument("ChaosPlan::process_selfmon: need >= 8 nodes");
   }
-  const std::vector<std::size_t> victims = selfmon_victims(seed, nodes);
+  const std::vector<std::size_t> victims =
+      shuffled_victims(Rng(seed * 52361 + 7), nodes);
   const std::size_t kills = std::max<std::size_t>(1, nodes / 4);  // 25%
 
   ChaosPlan plan;
   plan.seed = seed;
   plan.nodes = nodes;
-  plan.process_mode = true;
   // Phase 1: baseline.
   plan.verify(4'000'000);
   // Phase 2: kill wave. The first victim aborts — its crash handler writes
-  // a postmortem dump the supervisor archives — and the rest are SIGKILLed.
+  // a postmortem dump the process fleet archives — and the rest crash.
   plan.sigabrt(5'000'000, victims[0]);
   for (std::size_t i = 1; i < kills; ++i) {
-    plan.sigkill(5'000'000 + i * (2'000'000 / kills), victims[i]);
+    plan.crash(5'000'000 + i * (2'000'000 / kills), victims[i]);
   }
   plan.verify(16'000'000);
   // Phase 3: all victims restart; the coverage alert must clear.
@@ -477,8 +473,9 @@ ChaosPlan ChaosPlan::rebalance_skew(std::uint64_t seed, std::size_t nodes) {
   // rebalancer is about to repair.
   plan.verify(2'000'000);
   // Phase 2: activate the rebalancer (it consumes virtual time itself, one
-  // measured round per epoch, up to the SLO budget), then verify that the
-  // repaired deployment still meets every recovery check plus the SLO.
+  // measured round per epoch, up to the SLO budget; missing the SLO is a
+  // violation), then verify that the repaired deployment still meets every
+  // recovery check.
   plan.rebalance(4'000'000);
   plan.verify(4'100'000);
   return plan;

@@ -18,17 +18,19 @@ enum class FaultKind : std::uint8_t {
   kHeal = 6,         ///< partition on slot is lifted
   kVerify = 7,       ///< quiesce, then run the recovery verifier
   kRebalance = 8,    ///< run the measurement-driven rebalancer to its SLO
-  kSigkill = 9,      ///< SIGKILL a daemon process (abrupt, like kCrash)
-  kSigterm = 10,     ///< SIGTERM a daemon: graceful drain, then clean leave
-  kSigabrt = 11,     ///< SIGABRT a daemon: crash that leaves a postmortem
-                     ///< dump for the supervisor to archive (sim: crash)
+  kSigabrt = 9,      ///< crash that also leaves a postmortem dump for the
+                     ///< process fleet to archive (sim: a plain crash)
 };
 
 [[nodiscard]] const char* to_string(FaultKind k) noexcept;
 
+/// True for the kinds that name a victim slot. A restart needs its slot
+/// dead; every other slot fault needs it live.
+[[nodiscard]] bool targets_slot(FaultKind k) noexcept;
+
 /// One scheduled event of a ChaosPlan. Which fields matter depends on the
-/// kind: slot for crash/leave/restart/partition/heal, magnitude+duration
-/// for the bursts, nothing extra for verify.
+/// kind: slot for the targets_slot() kinds, magnitude+duration for the
+/// bursts, nothing extra for verify and rebalance.
 struct FaultEvent {
   std::uint64_t at_us = 0;
   FaultKind kind = FaultKind::kVerify;
@@ -41,9 +43,10 @@ struct FaultEvent {
   [[nodiscard]] std::string describe() const;
 };
 
-/// A seeded, scripted timeline of fault events executed against a cluster
-/// by chaos::Campaign. Events run in at_us order (ties keep insertion
-/// order); every kVerify event closes a phase and triggers the verifier.
+/// A seeded, scripted timeline of fault events that chaos::Executor runs
+/// against a fleet (simulated or real processes). Events run in at_us order
+/// (ties keep insertion order); every kVerify event closes a phase and
+/// triggers the verifier.
 struct ChaosPlan {
   std::uint64_t seed = 1;
   std::size_t nodes = 16;
@@ -52,11 +55,6 @@ struct ChaosPlan {
   /// the unbalanced trees (max branching 7+ at n >= 16, Fig. 7a) that the
   /// rebalance event is then expected to repair.
   bool random_ids = false;
-  /// Deployment directive: the plan targets real OS processes (one datd per
-  /// slot, driven by the process supervisor) instead of an in-process sim
-  /// cluster. Spelled `mode process` in the spec; sim campaigns still
-  /// accept sigkill/sigterm events by mapping them to crash/drain+leave.
-  bool process_mode = false;
   std::vector<FaultEvent> events;
 
   // Builder-style helpers; times are virtual microseconds from campaign
@@ -72,12 +70,10 @@ struct ChaosPlan {
   ChaosPlan& heal(std::uint64_t at_us, std::size_t slot);
   ChaosPlan& verify(std::uint64_t at_us);
   ChaosPlan& rebalance(std::uint64_t at_us);
-  ChaosPlan& sigkill(std::uint64_t at_us, std::size_t slot);
-  ChaosPlan& sigterm(std::uint64_t at_us, std::size_t slot);
   ChaosPlan& sigabrt(std::uint64_t at_us, std::size_t slot);
 
   /// Orders events by at_us (stable: simultaneous events keep the order
-  /// they were added in). Campaign calls this before executing.
+  /// they were added in). The executor calls this before running.
   void sort_events();
 
   /// Number of kVerify events, i.e. phases the campaign reports on.
@@ -86,31 +82,40 @@ struct ChaosPlan {
   /// Renders the plan back to the text-spec format parse() accepts.
   [[nodiscard]] std::string to_spec() const;
 
-  /// Parses the line-based spec format (times in milliseconds):
+  /// Parses the line-based spec format (times in milliseconds). One verb
+  /// per behaviour, the same on the simulator and on a datd fleet:
   ///
   ///   # comment / blank lines ignored
   ///   seed <n>
   ///   nodes <n>
   ///   assign random|probed
-  ///   mode process|sim
-  ///   <at_ms> crash <slot>
-  ///   <at_ms> leave <slot>
-  ///   <at_ms> restart <slot>
-  ///   <at_ms> loss <rate> <duration_ms>
-  ///   <at_ms> latency <multiplier> <duration_ms>
+  ///   <at_ms> crash <slot>      abrupt failure (a datd gets SIGKILL)
+  ///   <at_ms> leave <slot>      drain, then depart (a datd gets SIGTERM)
+  ///   <at_ms> sigabrt <slot>    crash that leaves a postmortem dump
+  ///   <at_ms> restart <slot>    rejoin a dead slot (new incarnation)
+  ///   <at_ms> loss <rate> <duration_ms>          rate in [0, 1)
+  ///   <at_ms> latency <multiplier> <duration_ms> finite, >= 0
   ///   <at_ms> partition <slot>
   ///   <at_ms> heal <slot>
   ///   <at_ms> verify
   ///   <at_ms> rebalance
-  ///   <at_ms> sigkill <slot>
-  ///   <at_ms> sigterm <slot>
-  ///   <at_ms> sigabrt <slot>
   ///
   /// Throws std::invalid_argument with the offending line on bad input:
-  /// malformed fields, unknown verbs, duplicate seed/nodes/assign lines, a
-  /// zero node count, or a slot-bearing event whose victim is outside
-  /// [0, nodes).
+  /// malformed or signed numbers, times whose microsecond value overflows,
+  /// burst magnitudes outside their range, unknown verbs, duplicate
+  /// seed/nodes/assign lines, a zero node count, or a slot-bearing event
+  /// whose victim is outside [0, nodes).
   [[nodiscard]] static ChaosPlan parse(std::string_view spec);
+
+  /// The plan both chaos tools run: the spec file at `path` when it is not
+  /// empty, else the built-in `campaign` (canonical | selfmon |
+  /// rebalance-skew) for (seed, nodes). `processes` picks the datd-fleet
+  /// variants of canonical and selfmon. Throws std::invalid_argument for an
+  /// unreadable file, a bad spec or an unknown campaign name.
+  [[nodiscard]] static ChaosPlan load(const std::string& path,
+                                      const std::string& campaign,
+                                      std::uint64_t seed, std::size_t nodes,
+                                      bool processes);
 
   /// The canonical seeded campaign used by tests and the CI soak: a mix of
   /// crash+rejoin, graceful leave, a 20% loss burst, a partition+heal and a
@@ -122,17 +127,17 @@ struct ChaosPlan {
 
   /// The rebalancing SLO campaign: the cluster deploys with random ids
   /// (unbalanced trees), a verify phase measures the skewed baseline, then
-  /// a rebalance event activates the measurement-driven rebalancer, and a
-  /// closing verify phase asserts both the usual recovery checks and the
-  /// branching SLO (see CampaignOptions::rebalance). Timeline is a pure
-  /// function of (seed, nodes).
+  /// a rebalance event runs the measurement-driven rebalancer until it
+  /// meets the branching SLO (see SimFleetOptions::rebalance), and a
+  /// closing verify phase asserts the usual recovery checks on the repaired
+  /// deployment. Timeline is a pure function of (seed, nodes).
   [[nodiscard]] static ChaosPlan rebalance_skew(std::uint64_t seed,
                                                 std::size_t nodes);
 
   /// The canonical process-level kill plan the daemon-soak CI job runs: a
-  /// fleet of `nodes` real datd processes gets a baseline verify, a SIGKILL
-  /// wave hitting 25% of the fleet, a verify, restarts of half the killed
-  /// slots (bumped incarnations), a verify, a SIGTERM wave draining 10%
+  /// fleet of `nodes` real datd processes gets a baseline verify, a crash
+  /// wave hitting 25% of the fleet, a verify, restarts of half the crashed
+  /// slots (bumped incarnations), a verify, a leave wave draining 10%
   /// gracefully, and a closing verify. Slot 0 (the bootstrap seed every
   /// restarted daemon rejoins through) is never a victim. Victim choices
   /// are drawn from Rng(seed), so the timeline is a pure function of
@@ -151,8 +156,8 @@ struct ChaosPlan {
 
   /// The self-monitoring SLO campaign against real datd processes: same
   /// fire-then-clear shape as selfmon(), except the first victim dies by
-  /// SIGABRT — exercising the crash-postmortem path the supervisor
-  /// archives — and the rest by SIGKILL.
+  /// sigabrt — exercising the crash-postmortem path the process fleet
+  /// archives — and the rest by crash.
   [[nodiscard]] static ChaosPlan process_selfmon(std::uint64_t seed,
                                                  std::size_t nodes);
 };

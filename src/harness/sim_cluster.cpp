@@ -167,21 +167,19 @@ chord::RingView SimCluster::ring_view() const {
   return {space_, std::move(ids)};
 }
 
+bool SimCluster::converged() const {
+  const chord::RingView ring = ring_view();
+  for (const Slot& slot : slots_) {
+    if (slot.live && !slot.node->converged_against(ring)) return false;
+  }
+  DAT_HARNESS_CHECK_CONVERGED();
+  return true;
+}
+
 bool SimCluster::wait_converged(std::uint64_t max_us) {
   const std::uint64_t deadline = engine_->now() + max_us;
   while (engine_->now() < deadline) {
-    const chord::RingView ring = ring_view();
-    bool all = true;
-    for (const Slot& slot : slots_) {
-      if (slot.live && !slot.node->converged_against(ring)) {
-        all = false;
-        break;
-      }
-    }
-    if (all) {
-      DAT_HARNESS_CHECK_CONVERGED();
-      return true;
-    }
+    if (converged()) return true;
     engine_->advance_until(
         std::min<sim::SimTime>(deadline, engine_->now() + 500'000));
   }

@@ -81,6 +81,10 @@ class SimCluster {
   /// fixed-step pump loops make progress regardless of timer density.
   void run_for(std::uint64_t us) { engine_->advance_until(engine_->now() + us); }
 
+  /// True when every live node's tables match the converged RingView (in
+  /// DAT_CHECK_INVARIANTS builds it then also asserts the converged
+  /// invariants, which throw std::logic_error on violation).
+  [[nodiscard]] bool converged() const;
   /// Runs until every live node's tables match the converged RingView, or
   /// until `max_us` virtual time passes. Returns true on convergence.
   bool wait_converged(std::uint64_t max_us);

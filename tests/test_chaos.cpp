@@ -1,8 +1,9 @@
-// Chaos campaigns: scripted fault timelines, deterministic execution, and
-// recovery-SLO verification.
+// Chaos campaigns: scripted fault timelines, plan parsing, and the shared
+// executor run deterministically against a simulated fleet.
 
-#include "chaos/campaign.hpp"
+#include "chaos/executor.hpp"
 #include "chaos/plan.hpp"
+#include "chaos/sim_fleet.hpp"
 
 #include <gtest/gtest.h>
 
@@ -68,6 +69,64 @@ TEST(ChaosPlanTest, ParseRejectsGarbage) {
   EXPECT_THROW(ChaosPlan::parse("1000 crash"), std::invalid_argument);
   EXPECT_THROW(ChaosPlan::parse("1000 sabotage 2"), std::invalid_argument);
   EXPECT_THROW(ChaosPlan::parse("1000 loss 0.5"), std::invalid_argument);
+  // One verb per behaviour on every fleet: sigkill and sigterm are not
+  // verbs (crash and leave are), and a plan names no fleet mode.
+  EXPECT_THROW(ChaosPlan::parse("1000 sigkill 2"), std::invalid_argument);
+  EXPECT_THROW(ChaosPlan::parse("1000 sigterm 2"), std::invalid_argument);
+  EXPECT_THROW(ChaosPlan::parse("mode process\n"), std::invalid_argument);
+}
+
+TEST(ChaosPlanTest, ParseRejectsTimesThatOverflowOrCarryASign) {
+  // 18446744073709552 ms is just past UINT64_MAX microseconds: it used to
+  // wrap to t=0.
+  EXPECT_THROW(ChaosPlan::parse("18446744073709552 verify\n"),
+               std::invalid_argument);
+  EXPECT_EQ(ChaosPlan::parse("18446744073709551 verify\n").events.at(0).at_us,
+            18'446'744'073'709'551'000u);
+  EXPECT_THROW(ChaosPlan::parse("1000 loss 0.1 18446744073709552\n"),
+               std::invalid_argument);
+  // Signs and trailing junk in unsigned fields.
+  EXPECT_THROW(ChaosPlan::parse("-5 verify\n"), std::invalid_argument);
+  EXPECT_THROW(ChaosPlan::parse("+5 verify\n"), std::invalid_argument);
+  EXPECT_THROW(ChaosPlan::parse("1000ms verify\n"), std::invalid_argument);
+  EXPECT_THROW(ChaosPlan::parse("1000 crash -1\n"), std::invalid_argument);
+  EXPECT_THROW(ChaosPlan::parse("1000 loss 0.1 -500\n"),
+               std::invalid_argument);
+  EXPECT_THROW(ChaosPlan::parse("seed -3\n"), std::invalid_argument);
+  EXPECT_THROW(ChaosPlan::parse("nodes -8\n"), std::invalid_argument);
+}
+
+TEST(ChaosPlanTest, ParseRejectsBurstMagnitudesTheFabricWouldRefuse) {
+  // Loss is a probability in [0, 1).
+  EXPECT_THROW(ChaosPlan::parse("1000 loss 1.5 500\n"), std::invalid_argument);
+  EXPECT_THROW(ChaosPlan::parse("1000 loss 1 500\n"), std::invalid_argument);
+  EXPECT_THROW(ChaosPlan::parse("1000 loss -0.1 500\n"),
+               std::invalid_argument);
+  EXPECT_THROW(ChaosPlan::parse("1000 loss nan 500\n"), std::invalid_argument);
+  // The latency multiplier is finite and not negative.
+  EXPECT_THROW(ChaosPlan::parse("1000 latency -2 500\n"),
+               std::invalid_argument);
+  EXPECT_THROW(ChaosPlan::parse("1000 latency inf 500\n"),
+               std::invalid_argument);
+  // The edges that are allowed.
+  const ChaosPlan plan =
+      ChaosPlan::parse("1000 loss 0 500\n2000 latency 0 500\n");
+  EXPECT_EQ(plan.events.size(), 2u);
+}
+
+TEST(ChaosPlanTest, LoadReadsAFileOrABuiltInCampaign) {
+  EXPECT_EQ(ChaosPlan::load("", "canonical", 7, 16, false).to_spec(),
+            ChaosPlan::canonical(7, 16).to_spec());
+  EXPECT_EQ(ChaosPlan::load("", "canonical", 7, 16, true).to_spec(),
+            ChaosPlan::process_canonical(7, 16).to_spec());
+  EXPECT_EQ(ChaosPlan::load("", "selfmon", 7, 16, true).to_spec(),
+            ChaosPlan::process_selfmon(7, 16).to_spec());
+  EXPECT_TRUE(ChaosPlan::load("", "rebalance-skew", 7, 16, false).random_ids);
+  EXPECT_THROW((void)ChaosPlan::load("", "voodoo", 7, 16, false),
+               std::invalid_argument);
+  EXPECT_THROW((void)ChaosPlan::load("/nonexistent/plan.txt", "canonical", 7,
+                                     16, false),
+               std::invalid_argument);
 }
 
 TEST(ChaosPlanTest, ParseRejectsMalformedPhaseLines) {
@@ -149,38 +208,48 @@ TEST(ChaosPlanTest, CanonicalIsAPureFunctionOfSeed) {
   EXPECT_THROW(ChaosPlan::canonical(1, 2), std::invalid_argument);
 }
 
-CampaignReport run_canonical_campaign(std::uint64_t seed, std::size_t nodes) {
+harness::ClusterOptions small_cluster(std::uint64_t seed) {
   harness::ClusterOptions options;
   options.seed = seed;
   options.dat.epoch_us = 200'000;
-  harness::SimCluster cluster(nodes, std::move(options));
-  CampaignOptions campaign_options;
-  campaign_options.quiesce_us = 1'500'000;
-  Campaign campaign(cluster, ChaosPlan::canonical(seed, nodes),
-                    campaign_options);
-  return campaign.run();
+  return options;
+}
+
+SimFleetOptions quick_fleet() {
+  SimFleetOptions options;
+  options.quiesce_us = 1'500'000;
+  return options;
+}
+
+Report run_canonical_campaign(std::uint64_t seed, std::size_t nodes,
+                              net::RpcStats* rpc = nullptr) {
+  harness::SimCluster cluster(nodes, small_cluster(seed));
+  SimFleet fleet(cluster, quick_fleet());
+  Report report = Executor(fleet, ChaosPlan::canonical(seed, nodes)).run();
+  if (rpc != nullptr) *rpc = fleet.rpc_stats();
+  return report;
 }
 
 TEST(ChaosCampaignTest, CanonicalPlanMeetsRecoverySlos) {
-  const CampaignReport report = run_canonical_campaign(7, 10);
+  net::RpcStats rpc;
+  const Report report = run_canonical_campaign(7, 10, &rpc);
   for (const std::string& violation : report.violations) {
     ADD_FAILURE() << "violation: " << violation;
   }
   ASSERT_EQ(report.phases.size(), ChaosPlan::canonical(7, 10).phases());
   for (const PhaseReport& phase : report.phases) {
-    EXPECT_TRUE(phase.ok()) << "phase " << phase.phase << " failed: expected "
-                            << phase.expected_coverage << ", observed "
-                            << phase.observed_coverage;
-    EXPECT_LE(phase.epochs_to_recover, 10u);
-    EXPECT_GE(phase.roots_answered, 1u);
+    EXPECT_TRUE(phase.ok()) << phase.describe() << ": " << phase.last.failing;
+    EXPECT_GE(phase.last.observed, phase.last.expected);
+    EXPECT_GE(phase.polls, 1u);
   }
+  EXPECT_EQ(report.exit_code(), 0);
   // The RPC layer was actually exercised, including retries.
-  EXPECT_GT(report.phases.back().rpc.calls, 0u);
+  EXPECT_GT(rpc.calls, 0u);
 }
 
 TEST(ChaosCampaignTest, SameSeedProducesIdenticalEventLogs) {
-  const CampaignReport first = run_canonical_campaign(7, 10);
-  const CampaignReport second = run_canonical_campaign(7, 10);
+  const Report first = run_canonical_campaign(7, 10);
+  const Report second = run_canonical_campaign(7, 10);
   ASSERT_EQ(first.event_log.size(), second.event_log.size());
   for (std::size_t i = 0; i < first.event_log.size(); ++i) {
     EXPECT_EQ(first.event_log[i], second.event_log[i]) << "line " << i;
@@ -188,10 +257,7 @@ TEST(ChaosCampaignTest, SameSeedProducesIdenticalEventLogs) {
 }
 
 TEST(ChaosCampaignTest, ScriptedPlanRunsCrashRestartCycle) {
-  harness::ClusterOptions options;
-  options.seed = 5;
-  options.dat.epoch_us = 200'000;
-  harness::SimCluster cluster(8, std::move(options));
+  harness::SimCluster cluster(8, small_cluster(5));
   const ChaosPlan plan = ChaosPlan::parse(
       "seed 5\n"
       "nodes 8\n"
@@ -199,31 +265,86 @@ TEST(ChaosCampaignTest, ScriptedPlanRunsCrashRestartCycle) {
       "3000 verify\n"
       "4000 restart 4\n"
       "6000 verify\n");
-  CampaignOptions campaign_options;
-  campaign_options.quiesce_us = 1'500'000;
-  Campaign campaign(cluster, plan, campaign_options);
-  const CampaignReport report = campaign.run();
+  SimFleet fleet(cluster, quick_fleet());
+  Executor executor(fleet, plan);
+  const Report report = executor.run();
   ASSERT_EQ(report.phases.size(), 2u);
   EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.phases[0].expected_coverage, 7u);
-  EXPECT_EQ(report.phases[1].expected_coverage, 8u);
+  EXPECT_EQ(report.phases[0].last.expected, 7u);
+  EXPECT_EQ(report.phases[1].last.expected, 8u);
   // Coverage is a lower-bound SLO: soft-state re-parenting can transiently
   // double-count a subtree until the stale child entry ages out of its TTL.
-  EXPECT_GE(report.phases[1].observed_coverage, 8u);
+  EXPECT_GE(report.phases[1].last.observed, 8u);
   EXPECT_TRUE(cluster.is_live(4));
 
-  // A campaign object runs once.
-  EXPECT_THROW(campaign.run(), std::logic_error);
+  // An executor runs once.
+  EXPECT_THROW(executor.run(), std::logic_error);
 }
 
 TEST(ChaosCampaignTest, RejectsZeroReplicas) {
-  harness::ClusterOptions options;
-  options.seed = 5;
-  harness::SimCluster cluster(4, std::move(options));
-  CampaignOptions campaign_options;
-  campaign_options.replicas = 0;
-  EXPECT_THROW(Campaign(cluster, ChaosPlan::canonical(5, 4), campaign_options),
+  harness::SimCluster cluster(4, small_cluster(5));
+  SimFleetOptions options;
+  options.replicas = 0;
+  EXPECT_THROW(SimFleet(cluster, options), std::invalid_argument);
+}
+
+TEST(ChaosCampaignTest, PlanMustMatchTheFleetSize) {
+  harness::SimCluster cluster(4, small_cluster(5));
+  SimFleet fleet(cluster, quick_fleet());
+  EXPECT_THROW(Executor(fleet, ChaosPlan::canonical(5, 8)),
                std::invalid_argument);
+}
+
+// The same rule for impossible targets on every fleet: a verify with no
+// live slot and a fault aimed at a dead slot are recorded violations, not
+// crashes or silent no-ops.
+TEST(ChaosCampaignTest, ImpossibleTargetsAreRecordedViolations) {
+  harness::SimCluster cluster(4, small_cluster(9));
+  const ChaosPlan plan = ChaosPlan::parse(
+      "seed 9\n"
+      "nodes 4\n"
+      "1000 crash 0\n"
+      "1000 crash 1\n"
+      "1000 crash 2\n"
+      "1000 crash 3\n"
+      "2000 verify\n"
+      "3000 crash 2\n"
+      "3000 partition 1\n");
+  SimFleet fleet(cluster, quick_fleet());
+  const Report report = Executor(fleet, plan).run();
+  EXPECT_EQ(cluster.live_count(), 0u);
+  ASSERT_EQ(report.phases.size(), 1u);
+  EXPECT_FALSE(report.phases[0].ok());
+  EXPECT_EQ(report.phases[0].polls, 0u);
+  ASSERT_EQ(report.violations.size(), 3u);
+  EXPECT_NE(report.violations[0].find("no live slot"), std::string::npos);
+  EXPECT_NE(report.violations[1].find("crash slot=2"), std::string::npos);
+  EXPECT_NE(report.violations[1].find("is not live"), std::string::npos);
+  EXPECT_NE(report.violations[2].find("partition slot=1"), std::string::npos);
+  EXPECT_EQ(report.exit_code(), 1);
+}
+
+TEST(ChaosCampaignTest, RestartOfALiveSlotIsAViolation) {
+  harness::SimCluster cluster(4, small_cluster(9));
+  const ChaosPlan plan = ChaosPlan::parse("nodes 4\n1000 restart 2\n");
+  SimFleet fleet(cluster, quick_fleet());
+  const Report report = Executor(fleet, plan).run();
+  ASSERT_EQ(report.violations.size(), 1u);
+  EXPECT_NE(report.violations[0].find("is already live"), std::string::npos);
+  EXPECT_TRUE(cluster.is_live(2));
+}
+
+TEST(ChaosCampaignTest, InterruptStopsBeforeTheNextEvent) {
+  harness::SimCluster cluster(4, small_cluster(9));
+  SimFleet fleet(cluster, quick_fleet());
+  ExecutorOptions options;
+  options.interrupted = [] { return true; };
+  const Report report =
+      Executor(fleet, ChaosPlan::canonical(9, 4), options).run();
+  EXPECT_TRUE(report.interrupted);
+  EXPECT_TRUE(report.phases.empty());
+  EXPECT_EQ(report.exit_code(), 130);
+  EXPECT_EQ(cluster.live_count(), 4u);
 }
 
 }  // namespace

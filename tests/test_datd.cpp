@@ -199,7 +199,6 @@ TEST(ProcessPlan, DeterministicPureFunctionOfSeed) {
   EXPECT_EQ(a.to_spec(), b.to_spec());
   const chaos::ChaosPlan c = chaos::ChaosPlan::process_canonical(8, 64);
   EXPECT_NE(a.to_spec(), c.to_spec());
-  EXPECT_TRUE(a.process_mode);
   EXPECT_THROW(chaos::ChaosPlan::process_canonical(7, 4),
                std::invalid_argument);
 }
@@ -212,12 +211,12 @@ TEST(ProcessPlan, SlotZeroNeverVictimAndKillMixMatches) {
   std::set<std::size_t> victims;
   for (const chaos::FaultEvent& e : plan.events) {
     switch (e.kind) {
-      case chaos::FaultKind::kSigkill:
+      case chaos::FaultKind::kCrash:
         ++kills;
         EXPECT_NE(e.slot, 0u);
         EXPECT_TRUE(victims.insert(e.slot).second) << "victim reused";
         break;
-      case chaos::FaultKind::kSigterm:
+      case chaos::FaultKind::kLeave:
         ++terms;
         EXPECT_NE(e.slot, 0u);
         EXPECT_TRUE(victims.insert(e.slot).second) << "victim reused";
@@ -235,18 +234,19 @@ TEST(ProcessPlan, SlotZeroNeverVictimAndKillMixMatches) {
   EXPECT_GE(plan.phases(), 4u);
 }
 
-TEST(ProcessPlan, SpecRoundTripKeepsModeAndKillVerbs) {
+TEST(ProcessPlan, SpecRoundTripKeepsTheSharedVerbs) {
+  // The process plan speaks the same verbs as the sim plans: crash for a
+  // SIGKILL, leave for a SIGTERM drain; no fleet-mode header.
   const chaos::ChaosPlan plan = chaos::ChaosPlan::process_canonical(5, 16);
   const std::string spec = plan.to_spec();
-  EXPECT_NE(spec.find("mode process"), std::string::npos);
-  EXPECT_NE(spec.find("sigkill"), std::string::npos);
-  EXPECT_NE(spec.find("sigterm"), std::string::npos);
+  EXPECT_NE(spec.find(" crash "), std::string::npos);
+  EXPECT_NE(spec.find(" leave "), std::string::npos);
+  EXPECT_EQ(spec.find("mode"), std::string::npos);
+  EXPECT_EQ(spec.find("sigkill"), std::string::npos);
+  EXPECT_EQ(spec.find("sigterm"), std::string::npos);
   const chaos::ChaosPlan back = chaos::ChaosPlan::parse(spec);
-  EXPECT_TRUE(back.process_mode);
   EXPECT_EQ(back.to_spec(), spec);
-  EXPECT_THROW(chaos::ChaosPlan::parse("mode process\nmode sim\n"),
-               std::invalid_argument);
-  EXPECT_THROW(chaos::ChaosPlan::parse("mode bare-metal\n"),
+  EXPECT_THROW(chaos::ChaosPlan::parse("mode process\n"),
                std::invalid_argument);
 }
 

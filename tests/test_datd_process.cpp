@@ -1,7 +1,7 @@
 // Real-process checks for the deployment binaries: exit-code contracts of
 // datd / datctl / dat_supervisor on bad invocations, and a small end-to-end
-// supervisor soak that forks actual datd daemons on loopback and asserts the
-// recovery SLOs.
+// soak that runs the chaos executor over a ProcessFleet of actual datd
+// daemons on loopback and asserts the recovery SLOs.
 //
 // Binary paths arrive as compile definitions (DATD_BIN etc.) so the tests
 // work from any build directory.
@@ -20,10 +20,11 @@
 #include <thread>
 #include <vector>
 
+#include "chaos/executor.hpp"
 #include "chaos/plan.hpp"
 #include "datd/admin.hpp"
 #include "datd/config.hpp"
-#include "datd/supervisor.hpp"
+#include "datd/process_fleet.hpp"
 #include "obs/export.hpp"
 
 namespace {
@@ -109,24 +110,23 @@ TEST(SupervisorProcess, PrintPlanIsDeterministic) {
 
 // ----------------------------------------------------------- mini soak ----
 
-// A compressed process-mode plan: one SIGKILL, one restart, one SIGTERM
-// drain, verifies after each wave. Small enough for a unit-test budget but
-// it exercises every supervisor action against real forked daemons.
+// A compressed process plan: one crash (SIGKILL), one restart, one leave
+// (SIGTERM drain), verifies after each wave. Small enough for a unit-test
+// budget but it exercises every process-fleet action against real forked
+// daemons.
 TEST(SupervisorProcess, MiniSoakMeetsSlos) {
   chaos::ChaosPlan plan;
   plan.seed = 11;
   plan.nodes = 8;
-  plan.process_mode = true;
   plan.verify(1'000'000);
-  plan.sigkill(1'500'000, 3);
+  plan.crash(1'500'000, 3);
   plan.verify(6'000'000);
   plan.restart(7'000'000, 3);
   plan.verify(12'000'000);
-  plan.sigterm(13'000'000, 5);
+  plan.leave(13'000'000, 5);
   plan.verify(20'000'000);
-  plan.sort_events();
 
-  datd::SupervisorOptions options;
+  datd::ProcessFleetOptions options;
   options.nodes = plan.nodes;
   options.base_port = 29'480;  // away from the tool defaults and other tests
   options.datd_path = DATD_BIN;
@@ -136,7 +136,6 @@ TEST(SupervisorProcess, MiniSoakMeetsSlos) {
   options.drain_deadline_ms = 5'000;
   options.boot_timeout_ms = 60'000;
   options.verify_window_ms = 20'000;
-  options.verbose = false;
   // Self-monitoring SLO rides along: the probe node's coverage alert must
   // be clear while the fleet is whole, firing after the kill and after the
   // drain (live 7 < fleet 8), clear again after the restart.
@@ -144,15 +143,20 @@ TEST(SupervisorProcess, MiniSoakMeetsSlos) {
   options.selfmon_epoch_ms = 500;
   options.check_alerts = true;
 
-  datd::Supervisor supervisor(options);
-  const int rc = supervisor.run(plan);
-  if (rc != 0) {
-    for (const std::string& line : supervisor.report()) {
-      ADD_FAILURE() << line;
-    }
+  datd::ProcessFleet fleet(options);
+  const chaos::Report report = chaos::Executor(fleet, plan).run();
+  if (report.exit_code() != 0) {
+    for (const std::string& line : report.event_log) ADD_FAILURE() << line;
   }
-  EXPECT_EQ(supervisor.violations(), 0u);
-  EXPECT_EQ(rc, 0);
+  EXPECT_TRUE(report.violations.empty());
+  EXPECT_EQ(report.exit_code(), 0);
+  ASSERT_EQ(report.phases.size(), 4u);
+  // The alert state each verify settled on: clear while whole, firing
+  // with a slot down.
+  EXPECT_EQ(report.phases[0].last.alert_firing, std::optional<bool>(false));
+  EXPECT_EQ(report.phases[1].last.alert_firing, std::optional<bool>(true));
+  EXPECT_EQ(report.phases[2].last.alert_firing, std::optional<bool>(false));
+  EXPECT_EQ(report.phases[3].last.alert_firing, std::optional<bool>(true));
 }
 
 // A SIGABRT victim must die by that signal AND leave a crash dump the
@@ -161,16 +165,14 @@ TEST(SupervisorProcess, SigabrtLeavesAnArchivedPostmortem) {
   chaos::ChaosPlan plan;
   plan.seed = 13;
   plan.nodes = 8;
-  plan.process_mode = true;
   plan.verify(1'000'000);
   plan.sigabrt(1'500'000, 2);
   plan.verify(8'000'000);
-  plan.sort_events();
 
   const std::string dump_dir = ::testing::TempDir() + "datd-postmortems";
   std::system(("mkdir -p " + dump_dir).c_str());
 
-  datd::SupervisorOptions options;
+  datd::ProcessFleetOptions options;
   options.nodes = plan.nodes;
   options.base_port = 29'520;
   options.datd_path = DATD_BIN;
@@ -178,22 +180,19 @@ TEST(SupervisorProcess, SigabrtLeavesAnArchivedPostmortem) {
   options.replicas = 2;
   options.epoch_ms = 150;
   options.verify_window_ms = 20'000;
-  options.verbose = false;
   options.postmortem_dir = dump_dir;
 
-  datd::Supervisor supervisor(options);
-  const int rc = supervisor.run(plan);
-  if (rc != 0) {
-    for (const std::string& line : supervisor.report()) {
-      ADD_FAILURE() << line;
-    }
+  datd::ProcessFleet fleet(options);
+  const chaos::Report report = chaos::Executor(fleet, plan).run();
+  if (report.exit_code() != 0) {
+    for (const std::string& line : report.event_log) ADD_FAILURE() << line;
   }
-  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(report.exit_code(), 0);
 
   // The archived dump is named after the victim slot and parses as the
   // postmortem envelope tagged with SIGABRT.
   bool found = false;
-  for (const std::string& line : supervisor.report()) {
+  for (const std::string& line : report.event_log) {
     const std::size_t at = line.find("archived-postmortem-slot2-");
     if (at == std::string::npos) continue;
     found = true;
@@ -207,7 +206,7 @@ TEST(SupervisorProcess, SigabrtLeavesAnArchivedPostmortem) {
     EXPECT_NE(text.str().find("\"signal\":6"), std::string::npos);
     std::remove(path.c_str());
   }
-  EXPECT_TRUE(found) << "no archived postmortem in the supervisor report";
+  EXPECT_TRUE(found) << "no archived postmortem in the event log";
 }
 
 // ------------------------------------------------- single-daemon scrapes --

@@ -2,7 +2,7 @@
 // (unbalanced trees) under a seeded 90/10-skewed workload must re-converge
 // to max DAT branching <= 4 within 20 epochs of the rebalancer activating —
 // asserted on both the virtual-time SimCluster (through the rebalance-skew
-// chaos campaign) and the real-socket UdpCluster (driving the Rebalancer
+// chaos campaign on a SimFleet) and the real-socket UdpCluster (driving the Rebalancer
 // directly).
 
 #include <gtest/gtest.h>
@@ -10,8 +10,9 @@
 #include <memory>
 #include <vector>
 
-#include "chaos/campaign.hpp"
+#include "chaos/executor.hpp"
 #include "chaos/plan.hpp"
+#include "chaos/sim_fleet.hpp"
 #include "harness/sim_cluster.hpp"
 #include "harness/udp_cluster.hpp"
 #include "lb/ports.hpp"
@@ -31,40 +32,39 @@ TEST(RebalanceSkewCampaignTest, SimClusterMeetsTheBranchingSlo) {
   cluster_options.node.probing_join = !plan.random_ids;
   harness::SimCluster cluster(plan.nodes, std::move(cluster_options));
 
-  chaos::CampaignOptions options;
+  chaos::SimFleetOptions options;
   options.quiesce_us = 1'500'000;
   options.rebalance.hot_aggregates = 2;  // 2 hot + 3 cold trees: ~90/10 skew
   options.rebalance.slo_max_branching = 4;
   options.rebalance.slo_max_epochs = 20;
-  chaos::Campaign campaign(cluster, plan, options);
-  const chaos::CampaignReport report = campaign.run();
+  chaos::SimFleet fleet(cluster, options);
+  chaos::Executor executor(fleet, plan);
+  const chaos::Report report = executor.run();
 
   for (const std::string& violation : report.violations) {
     ADD_FAILURE() << "violation: " << violation;
   }
   ASSERT_EQ(report.phases.size(), 2u);
   // Phase 1 (before the rebalancer): the skewed deployment still meets the
-  // ordinary recovery SLOs.
+  // ordinary recovery SLOs. Phase 2 follows the rebalance event: the
+  // repaired deployment meets them too, and the rebalancer met the
+  // branching SLO (a miss would be a recorded violation).
   EXPECT_TRUE(report.phases[0].ok());
-  EXPECT_FALSE(report.phases[0].rebalance_checked);
-  // Phase 2 closes the rebalance event and carries its verdict.
   EXPECT_TRUE(report.phases[1].ok());
-  EXPECT_TRUE(report.phases[1].rebalance_checked);
-  EXPECT_TRUE(report.phases[1].rebalance_ok);
-  EXPECT_LE(report.phases[1].lb_epochs, 20u);
-  EXPECT_LE(report.phases[1].lb_max_branching, 4u);
+  EXPECT_TRUE(report.ok());
 
-  const chaos::Campaign::LbSummary& lb = campaign.lb_summary();
+  const chaos::SimFleet::LbSummary& lb = fleet.lb_summary();
   ASSERT_TRUE(lb.ran);
   EXPECT_TRUE(lb.converged);
+  EXPECT_LE(lb.epochs, 20u);
   // Random ids at n=24 must have deployed genuinely unbalanced trees, or
   // the campaign proved nothing.
   EXPECT_GT(lb.initial_max_branching, 4u);
   EXPECT_LE(lb.final_max_branching, 4u);
   EXPECT_GT(lb.migrations + lb.sheds, 0u);
 
-  // The campaign registry carries the dat_lb_* series.
-  const obs::MetricsSnapshot snap = campaign.metrics().snapshot();
+  // The executor registry carries the dat_lb_* series.
+  const obs::MetricsSnapshot snap = executor.metrics().snapshot();
   EXPECT_GT(snap.value_or_zero("dat_lb_rounds_total"), 0.0);
 }
 
@@ -76,14 +76,14 @@ TEST(RebalanceSkewCampaignTest, SameSeedProducesIdenticalEventLogs) {
     cluster_options.dat.epoch_us = 200'000;
     cluster_options.node.probing_join = !plan.random_ids;
     harness::SimCluster cluster(plan.nodes, std::move(cluster_options));
-    chaos::CampaignOptions options;
+    chaos::SimFleetOptions options;
     options.quiesce_us = 1'500'000;
     options.rebalance.hot_aggregates = 2;
-    chaos::Campaign campaign(cluster, plan, options);
-    return campaign.run();
+    chaos::SimFleet fleet(cluster, options);
+    return chaos::Executor(fleet, plan).run();
   };
-  const chaos::CampaignReport first = run_once();
-  const chaos::CampaignReport second = run_once();
+  const chaos::Report first = run_once();
+  const chaos::Report second = run_once();
   ASSERT_EQ(first.event_log.size(), second.event_log.size());
   for (std::size_t i = 0; i < first.event_log.size(); ++i) {
     EXPECT_EQ(first.event_log[i], second.event_log[i]) << "line " << i;

@@ -13,8 +13,9 @@
 #include <string>
 #include <vector>
 
-#include "chaos/campaign.hpp"
+#include "chaos/executor.hpp"
 #include "chaos/plan.hpp"
+#include "chaos/sim_fleet.hpp"
 #include "dat/aggregate.hpp"
 #include "harness/sim_cluster.hpp"
 #include "net/codec.hpp"
@@ -326,9 +327,8 @@ TEST(SelfmonPlanTest, PureFunctionOfSeedAndSlotZeroSafe) {
 
 TEST(SelfmonPlanTest, ProcessVariantLeadsWithSigabrt) {
   const chaos::ChaosPlan plan = chaos::ChaosPlan::process_selfmon(9, 16);
-  EXPECT_TRUE(plan.process_mode);
   std::size_t sigabrts = 0;
-  std::size_t sigkills = 0;
+  std::size_t crashes = 0;
   bool first_fault_is_abort = false;
   bool seen_fault = false;
   for (const chaos::FaultEvent& e : plan.events) {
@@ -337,15 +337,15 @@ TEST(SelfmonPlanTest, ProcessVariantLeadsWithSigabrt) {
       seen_fault = true;
       EXPECT_NE(e.slot, 0u);
       ++sigabrts;
-    } else if (e.kind == chaos::FaultKind::kSigkill) {
+    } else if (e.kind == chaos::FaultKind::kCrash) {
       seen_fault = true;
       EXPECT_NE(e.slot, 0u);
-      ++sigkills;
+      ++crashes;
     }
   }
   EXPECT_EQ(sigabrts, 1u);  // exactly one postmortem-producing crash
   EXPECT_TRUE(first_fault_is_abort);
-  EXPECT_EQ(sigabrts + sigkills, 16u / 4);
+  EXPECT_EQ(sigabrts + crashes, 16u / 4);
   EXPECT_THROW((void)chaos::ChaosPlan::process_selfmon(1, 6),
                std::invalid_argument);
 
@@ -473,24 +473,24 @@ TEST(SelfMonitorSimTest, CoverageAlertFiresWhenNodesCrash) {
 TEST(SelfmonCampaignTest, AlertFiresDuringKillWaveAndClearsAfterRecovery) {
   const chaos::ChaosPlan plan = chaos::ChaosPlan::selfmon(7, 8);
   harness::SimCluster cluster(plan.nodes, selfmon_cluster_options(plan.seed));
-  chaos::CampaignOptions options;
+  chaos::SimFleetOptions options;
   options.quiesce_us = 1'500'000;
   options.check_selfmon = true;
   options.selfmon_max_epochs = 30;
-  chaos::Campaign campaign(cluster, plan, options);
-  const chaos::CampaignReport report = campaign.run();
+  chaos::SimFleet fleet(cluster, options);
+  const chaos::Report report = chaos::Executor(fleet, plan).run();
 
   for (const std::string& violation : report.violations) {
     ADD_FAILURE() << "violation: " << violation;
   }
   ASSERT_EQ(report.phases.size(), 3u);
   for (const chaos::PhaseReport& phase : report.phases) {
-    EXPECT_TRUE(phase.selfmon_checked);
-    EXPECT_TRUE(phase.selfmon_ok) << "phase " << phase.phase;
+    EXPECT_TRUE(phase.ok()) << phase.describe() << ": " << phase.last.failing;
+    ASSERT_TRUE(phase.last.alert_firing.has_value());
   }
-  EXPECT_FALSE(report.phases[0].selfmon_firing);  // baseline: all up
-  EXPECT_TRUE(report.phases[1].selfmon_firing);   // kill wave: alert fires
-  EXPECT_FALSE(report.phases[2].selfmon_firing);  // recovered: alert clears
+  EXPECT_FALSE(*report.phases[0].last.alert_firing);  // baseline: all up
+  EXPECT_TRUE(*report.phases[1].last.alert_firing);   // kill wave: fires
+  EXPECT_FALSE(*report.phases[2].last.alert_firing);  // recovered: clears
   EXPECT_TRUE(report.ok());
 }
 

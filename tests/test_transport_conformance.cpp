@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -85,6 +86,11 @@ struct FabricCase {
   const char* name;
   std::function<std::unique_ptr<Fabric>()> make;
 };
+
+/// gtest puts the printed parameter into every listed test name; printing
+/// the row name keeps those names stable (gtest's default dumps the
+/// struct's bytes, pointers included).
+void PrintTo(const FabricCase& c, std::ostream* os) { *os << c.name; }
 
 std::vector<FabricCase> AllFabrics() {
   return {

@@ -1,10 +1,12 @@
 // dat_chaos: deterministic chaos campaigns against a simulated DAT cluster.
 //
-// Runs a scripted fault timeline (crash, graceful leave, restart/rejoin,
-// loss bursts, latency spikes, partition/heal) against a SimCluster and
-// verifies recovery after every quiescent window: structural invariants,
-// coverage re-convergence within a bounded number of epochs, and replica
-// query availability. Everything is seeded, so two runs with the same seed
+// Runs a scripted fault timeline (crash, drain-and-leave, restart/rejoin,
+// loss bursts, latency spikes, partition/heal, rebalance) against a
+// SimCluster through the same chaos::Executor that dat_supervisor runs
+// against real daemons, and verifies recovery after every settle window:
+// structural invariants, ring convergence, coverage within a bounded number
+// of epochs, replica query availability and, for the selfmon campaign, the
+// coverage alert. Everything is seeded, so two runs with the same seed
 // produce bit-identical event logs — which the CI soak job asserts.
 //
 //   dat_chaos --nodes 16 --seed 7 --print-events
@@ -14,11 +16,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 
-#include "chaos/campaign.hpp"
+#include "chaos/executor.hpp"
 #include "chaos/plan.hpp"
+#include "chaos/sim_fleet.hpp"
 #include "common/cli.hpp"
 #include "common/logging.hpp"
 #include "datd/signals.hpp"
@@ -29,36 +31,12 @@ namespace {
 int run_campaign(const dat::CliFlags& flags) {
   using namespace dat;
 
-  chaos::ChaosPlan plan;
   const std::string plan_path = flags.get_string("plan");
   const std::string campaign_name = flags.get_string("campaign");
-  if (!plan_path.empty()) {
-    std::ifstream in(plan_path);
-    if (!in) {
-      std::fprintf(stderr, "dat_chaos: cannot open plan file %s\n",
-                   plan_path.c_str());
-      return 2;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    plan = chaos::ChaosPlan::parse(text.str());
-  } else if (campaign_name == "canonical") {
-    plan = chaos::ChaosPlan::canonical(
-        static_cast<std::uint64_t>(flags.get_int("seed")),
-        static_cast<std::size_t>(flags.get_int("nodes")));
-  } else if (campaign_name == "rebalance-skew") {
-    plan = chaos::ChaosPlan::rebalance_skew(
-        static_cast<std::uint64_t>(flags.get_int("seed")),
-        static_cast<std::size_t>(flags.get_int("nodes")));
-  } else if (campaign_name == "selfmon") {
-    plan = chaos::ChaosPlan::selfmon(
-        static_cast<std::uint64_t>(flags.get_int("seed")),
-        static_cast<std::size_t>(flags.get_int("nodes")));
-  } else {
-    std::fprintf(stderr, "dat_chaos: unknown --campaign %s\n",
-                 campaign_name.c_str());
-    return 2;
-  }
+  const chaos::ChaosPlan plan = chaos::ChaosPlan::load(
+      plan_path, campaign_name,
+      static_cast<std::uint64_t>(flags.get_int("seed")),
+      static_cast<std::size_t>(flags.get_int("nodes")), /*processes=*/false);
 
   harness::ClusterOptions cluster_options;
   cluster_options.seed = plan.seed;
@@ -67,14 +45,14 @@ int run_campaign(const dat::CliFlags& flags) {
   // identifier probing) — the shape the rebalance event then repairs.
   cluster_options.node.probing_join = !plan.random_ids;
   // The selfmon campaign asserts the self-monitoring SLO: every node hosts
-  // a SelfMonitor, and each verify phase additionally waits for the probe
-  // node's coverage alert to reach the state the ground truth implies.
+  // a SelfMonitor, and each verify phase also polls the probe node's
+  // coverage alert until it reaches the state the ground truth implies.
   const bool selfmon_campaign =
       plan_path.empty() && campaign_name == "selfmon";
   cluster_options.with_selfmon = selfmon_campaign;
   harness::SimCluster cluster(plan.nodes, std::move(cluster_options));
 
-  chaos::CampaignOptions options;
+  chaos::SimFleetOptions options;
   options.replicas = static_cast<unsigned>(flags.get_int("replicas"));
   options.quiesce_us =
       static_cast<std::uint64_t>(flags.get_int("quiesce-ms")) * 1000;
@@ -95,19 +73,21 @@ int run_campaign(const dat::CliFlags& flags) {
   options.rebalance.slo_max_epochs =
       static_cast<unsigned>(flags.get_int("slo-epochs"));
   options.check_selfmon = selfmon_campaign;
-  // ^C aborts the timeline between events; the metrics flush and the table
-  // below still run on whatever completed, and the exit code becomes 130.
-  options.interrupted = [] { return datd::pending_signal() != 0; };
+  chaos::SimFleet fleet(cluster, options);
 
-  chaos::Campaign campaign(cluster, plan, options);
-  const chaos::CampaignReport report = campaign.run();
+  // ^C abandons the plan between events; the metrics flush and the summary
+  // below still run on whatever completed, and the exit code becomes 130.
+  chaos::ExecutorOptions executor_options;
+  executor_options.interrupted = [] { return datd::pending_signal() != 0; };
+  chaos::Executor executor(fleet, plan, executor_options);
+  const chaos::Report report = executor.run();
 
   const std::string metrics_path = flags.get_string("metrics-out");
   if (!metrics_path.empty()) {
-    // Campaign-level recovery metrics (phase timings, fault counts) merged
+    // Executor-level recovery metrics (phase timings, fault counts) merged
     // with the cluster-wide per-node roll-up, as one JSON document.
     obs::MetricsSnapshot snap =
-        campaign.metrics().snapshot().with_label("node", "campaign");
+        executor.metrics().snapshot().with_label("node", "campaign");
     snap.merge(cluster.telemetry_snapshot());
     std::ofstream out(metrics_path, std::ios::trunc);
     if (!out) {
@@ -121,27 +101,13 @@ int run_campaign(const dat::CliFlags& flags) {
     for (const std::string& line : report.event_log) {
       std::printf("%s\n", line.c_str());
     }
-  }
-
-  std::printf("\n%-6s %-8s %-6s %-9s %-9s %-7s %-6s %-9s %-7s %s\n", "phase",
-              "t(ms)", "live", "expected", "coverage", "epochs", "roots",
-              "lb", "alert", "result");
-  for (const chaos::PhaseReport& p : report.phases) {
-    char lb[32] = "-";
-    if (p.rebalance_checked) {
-      std::snprintf(lb, sizeof(lb), "%u/%zu", p.lb_epochs,
-                    p.lb_max_branching);
+  } else {
+    for (const chaos::PhaseReport& p : report.phases) {
+      std::printf("%s\n", p.describe().c_str());
     }
-    const char* alert =
-        p.selfmon_checked ? (p.selfmon_firing ? "firing" : "clear") : "-";
-    std::printf("%-6zu %-8llu %-6zu %-9zu %-9zu %-7u %-6u %-9s %-7s %s\n",
-                p.phase, static_cast<unsigned long long>(p.at_us / 1000),
-                p.live, p.expected_coverage, p.observed_coverage,
-                p.epochs_to_recover, p.roots_answered, lb, alert,
-                p.ok() ? "OK" : "FAIL");
   }
 
-  const chaos::Campaign::LbSummary& lb = campaign.lb_summary();
+  const chaos::SimFleet::LbSummary& lb = fleet.lb_summary();
   if (lb.ran) {
     std::printf("\nrebalancer: %s in %u epochs, branching %zu -> %zu, "
                 "%zu migrations, %zu sheds\n",
@@ -150,30 +116,26 @@ int run_campaign(const dat::CliFlags& flags) {
                 lb.migrations, lb.sheds);
   }
 
-  if (!report.phases.empty()) {
-    const dat::net::RpcStats& rpc = report.phases.back().rpc;
-    std::printf("\nrpc totals (live nodes): calls=%llu attempts=%llu "
-                "retransmits=%llu timeouts=%llu backoff=%llums\n",
-                static_cast<unsigned long long>(rpc.calls),
-                static_cast<unsigned long long>(rpc.attempts),
-                static_cast<unsigned long long>(rpc.retransmits),
-                static_cast<unsigned long long>(rpc.timeouts),
-                static_cast<unsigned long long>(rpc.backoff_wait_us / 1000));
-  }
+  const net::RpcStats rpc = fleet.rpc_stats();
+  std::printf("\nrpc totals (live nodes): calls=%llu attempts=%llu "
+              "retransmits=%llu timeouts=%llu backoff=%llums\n",
+              static_cast<unsigned long long>(rpc.calls),
+              static_cast<unsigned long long>(rpc.attempts),
+              static_cast<unsigned long long>(rpc.retransmits),
+              static_cast<unsigned long long>(rpc.timeouts),
+              static_cast<unsigned long long>(rpc.backoff_wait_us / 1000));
 
   for (const std::string& violation : report.violations) {
     std::fprintf(stderr, "violation: %s\n", violation.c_str());
   }
-  std::size_t phases_ok = 0;
-  for (const auto& p : report.phases) {
-    if (p.ok()) ++phases_ok;
-  }
+  const auto phases_ok = std::count_if(
+      report.phases.begin(), report.phases.end(),
+      [](const chaos::PhaseReport& p) { return p.ok(); });
   std::printf("\ncampaign %s: %zu/%zu phases ok\n",
               report.interrupted ? "INTERRUPTED"
                                  : (report.ok() ? "PASSED" : "FAILED"),
-              phases_ok, report.phases.size());
-  if (report.interrupted) return 130;
-  return report.ok() ? 0 : 1;
+              static_cast<std::size_t>(phases_ok), report.phases.size());
+  return report.exit_code();
 }
 
 }  // namespace

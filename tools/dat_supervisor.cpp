@@ -6,24 +6,26 @@
 //   dat_supervisor --nodes 16 --print-plan            show the timeline
 //
 // Forks one datd per slot (slot 0 bootstraps the ring, every other slot
-// joins through it with retry + backoff), then executes the plan against
-// their PIDs: sigkill = abrupt crash, sigterm = graceful drain (the exit
-// code is asserted 0), restart = respawn with a bumped incarnation. At
-// every verify point the supervisor scrapes the fleet's telemetry wire
-// until ring re-convergence, replica coverage and exact aggregate
-// conservation hold — or the SLO window expires.
+// joins through it with retry + backoff), then runs the plan through the
+// same chaos::Executor that dat_chaos runs against the simulator: crash =
+// SIGKILL, leave = SIGTERM and a graceful drain (the exit code is asserted
+// 0), sigabrt = SIGABRT plus an archived postmortem, restart = respawn with
+// a bumped incarnation. At every verify point the executor polls the
+// fleet's telemetry wire until ring re-convergence, replica coverage and
+// exact aggregate conservation hold — or the SLO window expires.
 //
 // Exit codes: 0 all SLOs met, 1 violations, 2 bad usage, 130 interrupted.
 
 #include <cstdio>
 #include <exception>
 #include <fstream>
-#include <sstream>
 #include <string>
 
+#include "chaos/executor.hpp"
 #include "chaos/plan.hpp"
 #include "common/cli.hpp"
-#include "datd/supervisor.hpp"
+#include "datd/process_fleet.hpp"
+#include "datd/signals.hpp"
 
 namespace {
 
@@ -47,7 +49,7 @@ int main(int argc, char** argv) {
       .flag("plan", std::string{},
             "path to a text plan spec (overrides --nodes/--seed)")
       .flag("campaign", std::string{"canonical"},
-            "built-in plan: canonical | selfmon")
+            "built-in plan: canonical | selfmon | rebalance-skew")
       .flag("base-port", std::int64_t{9400}, "slot i binds 127.0.0.1:port+i")
       .flag("datd", std::string{}, "datd binary (default: next to this one)")
       .flag("aggregate", std::string{"cpu-usage"}, "aggregate name")
@@ -83,44 +85,18 @@ int main(int argc, char** argv) {
   }
 
   try {
-    chaos::ChaosPlan plan;
-    const std::string plan_path = flags.get_string("plan");
-    if (!plan_path.empty()) {
-      std::ifstream in(plan_path);
-      if (!in) {
-        std::fprintf(stderr, "dat_supervisor: cannot open plan file %s\n",
-                     plan_path.c_str());
-        return 2;
-      }
-      std::ostringstream text;
-      text << in.rdbuf();
-      plan = chaos::ChaosPlan::parse(text.str());
-      if (!plan.process_mode) {
-        std::fprintf(stderr,
-                     "dat_supervisor: plan %s lacks `mode process`; "
-                     "sim-only events will be skipped\n",
-                     plan_path.c_str());
-      }
-    } else if (flags.get_string("campaign") == "selfmon") {
-      plan = chaos::ChaosPlan::process_selfmon(
-          static_cast<std::uint64_t>(flags.get_int("seed")),
-          static_cast<std::size_t>(flags.get_int("nodes")));
-    } else if (flags.get_string("campaign") == "canonical") {
-      plan = chaos::ChaosPlan::process_canonical(
-          static_cast<std::uint64_t>(flags.get_int("seed")),
-          static_cast<std::size_t>(flags.get_int("nodes")));
-    } else {
-      std::fprintf(stderr, "dat_supervisor: unknown --campaign %s\n",
-                   flags.get_string("campaign").c_str());
-      return 2;
-    }
+    const std::string campaign = flags.get_string("campaign");
+    const chaos::ChaosPlan plan = chaos::ChaosPlan::load(
+        flags.get_string("plan"), campaign,
+        static_cast<std::uint64_t>(flags.get_int("seed")),
+        static_cast<std::size_t>(flags.get_int("nodes")), /*processes=*/true);
     if (flags.get_bool("print-plan")) {
       std::fputs(plan.to_spec().c_str(), stdout);
       return 0;
     }
 
-    datd::SupervisorOptions options;
-    options.nodes = static_cast<std::size_t>(flags.get_int("nodes"));
+    datd::ProcessFleetOptions options;
+    options.nodes = plan.nodes;
     options.base_port =
         static_cast<std::uint16_t>(flags.get_int("base-port"));
     options.datd_path = flags.get_string("datd");
@@ -137,17 +113,27 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(flags.get_int("verify-window-ms"));
     options.verify_poll_ms =
         static_cast<std::uint64_t>(flags.get_int("poll-ms"));
-    options.report_path = flags.get_string("report");
-    options.verbose = !flags.get_bool("quiet");
     options.selfmon = flags.get_bool("selfmon");
     options.selfmon_epoch_ms =
         static_cast<std::uint64_t>(flags.get_int("selfmon-epoch-ms"));
-    options.check_alerts = flags.get_bool("check-alerts") ||
-                           flags.get_string("campaign") == "selfmon";
+    options.check_alerts =
+        flags.get_bool("check-alerts") || campaign == "selfmon";
     options.postmortem_dir = flags.get_string("postmortem-dir");
 
-    datd::Supervisor supervisor(options);
-    return supervisor.run(plan);
+    datd::install_signal_guard();
+    datd::ProcessFleet fleet(options);
+    chaos::ExecutorOptions executor_options;
+    executor_options.interrupted = [] { return datd::pending_signal() != 0; };
+    executor_options.verbose = !flags.get_bool("quiet");
+    chaos::Executor executor(fleet, plan, executor_options);
+    const chaos::Report report = executor.run();
+
+    const std::string report_path = flags.get_string("report");
+    if (!report_path.empty()) {
+      std::ofstream out(report_path, std::ios::trunc);
+      for (const std::string& line : report.event_log) out << line << "\n";
+    }
+    return report.exit_code();
   } catch (const std::exception& err) {
     std::fprintf(stderr, "dat_supervisor: %s\n", err.what());
     return 2;
