@@ -210,7 +210,6 @@ int main(int argc, char** argv) {
       .put("id_assignment", "random");
   benchjson::Object root;
   root.put("suite", "lb_convergence")
-      .put("git_sha", DAT_GIT_SHA)
       .put("config", config)
       .put("results", rows)
       .put("all_converged", all_converged);

@@ -1,30 +1,25 @@
 // Throughput of the netio epoll reactor on the paper's loopback testbed
-// shape: 64 live instances in one process, each holding a window of echo
-// RPCs against its ring neighbor. Reports msgs/sec, syscalls/msg and
-// p50/p99 RPC latency at 1/2/4 shards with coalescing on and off, and the
-// best configuration's speed-up over the single-shard uncoalesced baseline
-// (netio-1shard-raw), then writes the whole table to BENCH_netio.json (see
-// bench/json_out.hpp).
+// shape: 64 live instances in one process, on one NetioNetwork pumped
+// inline, each holding a window of echo RPCs against its ring neighbor.
+// Reports msgs/sec, syscalls/msg and p50/p99 RPC latency for two rows, both
+// with write coalescing: netio-batched (recvmmsg/sendmmsg) and
+// netio-portable (one recvfrom/sendto per datagram), then writes the table
+// to BENCH_netio.json (see bench/json_out.hpp).
 //
 // Usage: bench_netio_throughput [--quick] [--nodes N] [--seconds S]
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "json_out.hpp"
 #include "net/rpc.hpp"
-#include "netio/reactor_pool.hpp"
-
-#ifndef DAT_GIT_SHA
-#define DAT_GIT_SHA "unknown"
-#endif
+#include "netio/netio_network.hpp"
 
 namespace {
 
@@ -34,14 +29,13 @@ struct NodeCtx {
   net::Transport* transport = nullptr;
   std::unique_ptr<net::RpcManager> rpc;
   net::Endpoint peer = net::kNullEndpoint;
-  std::atomic<std::uint64_t> completed{0};
-  std::vector<std::uint64_t> latencies_us;  // shard-confined until joined
+  std::uint64_t completed = 0;
+  std::vector<std::uint64_t> latencies_us;
 };
 
 struct RunResult {
   std::string name;
-  unsigned shards = 0;
-  bool coalesce = false;
+  bool batch_syscalls = false;
   double elapsed_s = 0;
   std::uint64_t completed = 0;   ///< echo round trips in the window
   double msgs_per_sec = 0;       ///< request+response frames per second
@@ -63,18 +57,19 @@ net::RpcOptions bench_rpc_options() {
 
 /// Issues one echo call and re-issues from its completion, keeping the
 /// node's window full until `stop` is raised.
-void issue(NodeCtx& ctx, const std::atomic<bool>& stop) {
+void issue(NodeCtx& ctx, const bool& stop) {
   const std::uint64_t start = ctx.transport->now_us();
   net::Writer body;
   body.u64(start);
   ctx.rpc->call(
       ctx.peer, "echo", body,
       [&ctx, &stop, start](net::RpcStatus status, net::Reader&) {
+        if (stop) return;
         if (status == net::RpcStatus::kOk) {
           ctx.latencies_us.push_back(ctx.transport->now_us() - start);
-          ctx.completed.fetch_add(1, std::memory_order_relaxed);
+          ++ctx.completed;
         }
-        if (!stop.load(std::memory_order_relaxed)) issue(ctx, stop);
+        issue(ctx, stop);
       },
       bench_rpc_options());
 }
@@ -100,95 +95,62 @@ std::vector<std::unique_ptr<NodeCtx>> make_ring(
   return ctxs;
 }
 
-std::uint64_t total_completed(
-    const std::vector<std::unique_ptr<NodeCtx>>& ctxs) {
-  std::uint64_t total = 0;
-  for (const auto& ctx : ctxs) {
-    total += ctx->completed.load(std::memory_order_relaxed);
-  }
-  return total;
-}
+RunResult run_netio(const char* name, bool batch_syscalls, std::size_t nodes,
+                    unsigned window, std::uint64_t duration_us) {
+  RunResult result;
+  result.name = name;
+  result.batch_syscalls = batch_syscalls;
 
-void finish(RunResult& result, std::uint64_t completed, double elapsed_s,
-            std::uint64_t syscalls,
-            std::vector<std::unique_ptr<NodeCtx>>& ctxs) {
-  result.completed = completed;
-  result.elapsed_s = elapsed_s;
-  const double msgs = 2.0 * static_cast<double>(completed);  // req + resp
-  result.msgs_per_sec = elapsed_s > 0 ? msgs / elapsed_s : 0;
-  result.syscalls = syscalls;
-  result.syscalls_per_msg =
-      msgs > 0 ? static_cast<double>(syscalls) / msgs : 0;
-  std::vector<std::uint64_t> latencies;
+  netio::NetioNetwork network(
+      netio::ReactorOptions{.batch_syscalls = batch_syscalls});
+  std::vector<net::Transport*> transports;
+  transports.reserve(nodes);
+  for (std::size_t i = 0; i < nodes; ++i) {
+    transports.push_back(&network.add_node());
+  }
+  auto ctxs = make_ring(transports);
+
+  bool stop = false;
   for (auto& ctx : ctxs) {
+    for (unsigned w = 0; w < window; ++w) issue(*ctx, stop);
+  }
+  const netio::ReactorCounters before = network.reactor().counters();
+  const std::uint64_t t0 = network.now_us();
+  network.run_for(duration_us);
+  const std::uint64_t elapsed_us = network.now_us() - t0;
+  const netio::ReactorCounters after = network.reactor().counters();
+  stop = true;
+
+  result.elapsed_s = static_cast<double>(elapsed_us) / 1e6;
+  result.datagrams_out = after.datagrams_out - before.datagrams_out;
+  result.frames_out = after.frames_out - before.frames_out;
+  result.coalesced_datagrams_out =
+      after.coalesced_datagrams_out - before.coalesced_datagrams_out;
+  result.syscalls = (after.epoll_waits - before.epoll_waits) +
+                    (after.recv_syscalls - before.recv_syscalls) +
+                    (after.send_syscalls - before.send_syscalls);
+
+  std::vector<std::uint64_t> latencies;
+  for (const auto& ctx : ctxs) {
+    result.completed += ctx->completed;
     latencies.insert(latencies.end(), ctx->latencies_us.begin(),
                      ctx->latencies_us.end());
   }
+  const double msgs = 2.0 * static_cast<double>(result.completed);  // req+resp
+  result.msgs_per_sec = result.elapsed_s > 0 ? msgs / result.elapsed_s : 0;
+  result.syscalls_per_msg =
+      msgs > 0 ? static_cast<double>(result.syscalls) / msgs : 0;
   std::sort(latencies.begin(), latencies.end());
   if (!latencies.empty()) {
     result.p50_us = static_cast<double>(latencies[latencies.size() / 2]);
     result.p99_us =
         static_cast<double>(latencies[latencies.size() * 99 / 100]);
   }
-}
-
-RunResult run_netio(std::size_t nodes, unsigned window, unsigned shards,
-                    bool coalesce, std::uint64_t duration_us) {
-  RunResult result;
-  result.name = "netio-" + std::to_string(shards) + "shard-" +
-                (coalesce ? std::string("coalesce") : std::string("raw"));
-  result.shards = shards;
-  result.coalesce = coalesce;
-
-  netio::ReactorPoolOptions options;
-  options.shards = shards;
-  options.reactor.coalesce = coalesce;
-  netio::ReactorPool pool(options);
-  std::vector<net::Transport*> transports;
-  transports.reserve(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    transports.push_back(&pool.add_node());
-  }
-  auto ctxs = make_ring(transports);
-
-  std::atomic<bool> stop{false};
-  pool.start();
-  for (auto& ctx : ctxs) {
-    NodeCtx* raw = ctx.get();
-    // RpcManager and the latency vector are shard-confined; the window is
-    // opened from the node's own shard.
-    pool.shard_of(raw->transport->local())->post([raw, &stop, window] {
-      for (unsigned w = 0; w < window; ++w) issue(*raw, stop);
-    });
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  const netio::ReactorCounters before = pool.counters();
-  const std::uint64_t completed_before = total_completed(ctxs);
-  std::this_thread::sleep_for(std::chrono::microseconds(duration_us));
-  const std::uint64_t completed =
-      total_completed(ctxs) - completed_before;
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  netio::ReactorCounters during = pool.counters();
-  stop.store(true, std::memory_order_relaxed);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  pool.stop();
-
-  result.datagrams_out = during.datagrams_out - before.datagrams_out;
-  result.frames_out = during.frames_out - before.frames_out;
-  result.coalesced_datagrams_out =
-      during.coalesced_datagrams_out - before.coalesced_datagrams_out;
-  const std::uint64_t syscalls =
-      (during.epoll_waits - before.epoll_waits) +
-      (during.recv_syscalls - before.recv_syscalls) +
-      (during.send_syscalls - before.send_syscalls);
-  finish(result, completed, elapsed_s, syscalls, ctxs);
   return result;
 }
 
 void print_row(const RunResult& r) {
-  std::printf("%-22s %12.0f msgs/s  %6.2f syscalls/msg  p50 %7.0f us  "
+  std::printf("%-16s %12.0f msgs/s  %6.2f syscalls/msg  p50 %7.0f us  "
               "p99 %7.0f us  (%llu round trips)\n",
               r.name.c_str(), r.msgs_per_sec, r.syscalls_per_msg, r.p50_us,
               r.p99_us, static_cast<unsigned long long>(r.completed));
@@ -197,8 +159,7 @@ void print_row(const RunResult& r) {
 benchjson::Object to_json(const RunResult& r) {
   benchjson::Object o;
   o.put("name", r.name)
-      .put("shards", r.shards)
-      .put("coalesce", r.coalesce)
+      .put("batch_syscalls", r.batch_syscalls)
       .put("elapsed_s", r.elapsed_s)
       .put("round_trips", r.completed)
       .put("msgs_per_sec", r.msgs_per_sec)
@@ -235,48 +196,29 @@ int main(int argc, char** argv) {
   const auto duration_us = static_cast<std::uint64_t>(seconds * 1e6);
   constexpr unsigned kWindow = 16;
 
-  std::printf("netio throughput: %zu nodes, window %u, %.1fs per config, "
+  std::printf("netio throughput: %zu nodes, window %u, %.1fs per row, "
               "mmsg %s\n\n",
               nodes, kWindow, seconds,
               netio::mmsg_compiled() ? "compiled" : "unavailable");
 
-  std::vector<RunResult> results;
-  for (const unsigned shards : {1u, 2u, 4u}) {
-    for (const bool coalesce : {false, true}) {
-      results.push_back(
-          run_netio(nodes, kWindow, shards, coalesce, duration_us));
-      print_row(results.back());
-    }
+  std::vector<benchjson::Object> rows;
+  for (const auto& [name, batch] :
+       {std::pair{"netio-batched", true}, std::pair{"netio-portable", false}}) {
+    const RunResult r = run_netio(name, batch, nodes, kWindow, duration_us);
+    print_row(r);
+    rows.push_back(to_json(r));
   }
-
-  // results.front() is netio-1shard-raw: one shard, no coalescing.
-  const double baseline_rate = results.front().msgs_per_sec;
-  const auto best =
-      std::max_element(results.begin(), results.end(),
-                       [](const RunResult& a, const RunResult& b) {
-                         return a.msgs_per_sec < b.msgs_per_sec;
-                       });
-  const double speedup =
-      baseline_rate > 0 ? best->msgs_per_sec / baseline_rate : 0;
-  std::printf("\nbest netio config: %s at %.2fx %s\n", best->name.c_str(),
-              speedup, results.front().name.c_str());
 
   benchjson::Object config;
   config.put("nodes", static_cast<std::uint64_t>(nodes))
       .put("window", kWindow)
-      .put("seconds_per_config", seconds)
+      .put("seconds_per_row", seconds)
       .put("quick", quick)
       .put("mmsg_compiled", netio::mmsg_compiled());
-  std::vector<benchjson::Object> rows;
-  rows.reserve(results.size());
-  for (const RunResult& r : results) rows.push_back(to_json(r));
   benchjson::Object root;
   root.put("suite", "netio_throughput")
-      .put("git_sha", DAT_GIT_SHA)
       .put("config", config)
-      .put("results", rows)
-      .put("best_netio", best->name)
-      .put("speedup_best_vs_1shard_raw", speedup);
+      .put("results", rows);
   const std::string path = benchjson::write_suite("netio", root);
   std::printf("wrote %s\n", path.c_str());
   return 0;

@@ -2,7 +2,7 @@
 
 // Minimal machine-readable output for the plain-main() benchmarks: an
 // ordered JSON object builder plus the BENCH_<suite>.json writing
-// convention (suite name, git sha, config, metrics) shared by CI's
+// convention (suite name, config, metrics, host fingerprint) shared by CI's
 // perf-smoke job and EXPERIMENTS.md. google-benchmark binaries use their
 // own JSONReporter instead; this is for the harness-style benches.
 
@@ -10,8 +10,17 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+// Set per bench binary by bench/CMakeLists.txt.
+#ifndef DAT_GIT_SHA
+#define DAT_GIT_SHA "unknown"
+#endif
+#ifndef DAT_BUILD_TYPE
+#define DAT_BUILD_TYPE "unknown"
+#endif
 
 namespace dat::benchjson {
 
@@ -90,11 +99,38 @@ class Object {
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 
-/// Writes `BENCH_<suite>.json` into the working directory; returns the path.
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+/// The host and build a run measured, with the fields e2ebench prints:
+/// numbers from different fingerprints are not compared.
+inline Object host_fingerprint() {
+  Object host;
+  host.put("nproc", std::thread::hardware_concurrency())
+      .put("cpu_model", cpu_model())
+      .put("build_type", DAT_BUILD_TYPE)
+      .put("compiler", std::string("gcc ") + __VERSION__)
+      .put("git_sha", DAT_GIT_SHA);
+  return host;
+}
+
+/// Writes `BENCH_<suite>.json` into the working directory, with the host
+/// fingerprint appended as "host"; returns the path.
 inline std::string write_suite(const std::string& suite, const Object& root) {
   const std::string path = "BENCH_" + suite + ".json";
+  Object stamped = root;
+  stamped.put("host", host_fingerprint());
   std::ofstream out(path);
-  out << root.dump() << "\n";
+  out << stamped.dump() << "\n";
   return path;
 }
 

@@ -69,7 +69,7 @@ class Daemon {
 
   Config config_;
   IdSpace space_;
-  /// Daemon-scope instruments (reactor shards, process runtime); merged
+  /// Daemon-scope instruments (netio reactor, process runtime); merged
   /// with the node registry in telemetry_snapshot().
   obs::MetricsRegistry metrics_;
   netio::NetioNetwork network_;

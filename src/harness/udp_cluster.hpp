@@ -103,7 +103,7 @@ class UdpCluster {
   bool run_until(const std::function<bool()>& condition, std::uint64_t max_us);
 
   /// Registry for infrastructure shared by all nodes (the netio reactor's
-  /// shard counters land here).
+  /// counters land here).
   [[nodiscard]] obs::MetricsRegistry& cluster_metrics() noexcept {
     return cluster_metrics_;
   }

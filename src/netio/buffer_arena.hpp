@@ -6,7 +6,7 @@
 namespace dat::netio {
 
 /// Recycling pool of datagram-sized byte buffers, one arena per reactor
-/// shard (thread-confined, so no locking). The receive slots and the write
+/// (single-threaded, so no locking). The receive slots and the write
 /// coalescer's in-flight datagrams draw from here, making the steady-state
 /// hot path allocation-free: a buffer is acquired, filled, handed to the
 /// kernel, and released back for reuse.

@@ -11,8 +11,8 @@ namespace dat::netio {
 /// paper's "up to 64 DAT instances on each machine" — over a single Reactor
 /// driven inline on the caller's thread. Every UDP path (UdpCluster, datd,
 /// the admin client, the examples) runs on it, so all of them get epoll,
-/// syscall batching and write coalescing without owning a thread; the
-/// multi-shard threaded mode is ReactorPool's job.
+/// syscall batching and write coalescing without owning a thread. A
+/// deployment uses more cores by running more processes, as in the paper.
 class NetioNetwork {
  public:
   explicit NetioNetwork(const ReactorOptions& options = {});

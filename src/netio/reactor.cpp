@@ -3,15 +3,12 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <future>
 #include <stdexcept>
 #include <system_error>
 
@@ -22,12 +19,16 @@ namespace dat::netio {
 
 namespace {
 
-/// epoll user-data tag of the wakeup eventfd (socket registrations start
-/// at 1).
-constexpr std::uint64_t kEventFdTag = 0;
 constexpr int kMaxEpollEvents = 64;
+/// Datagrams drained per recvmmsg call.
+constexpr unsigned kRecvBatch = 32;
 /// Datagrams per sendmmsg call.
 constexpr unsigned kSendBatch = 64;
+/// Requested SO_RCVBUF per socket (the kernel caps it at rmem_max).
+constexpr int kSoRcvbuf = 1 << 22;
+/// Timer wheel granularity and size.
+constexpr std::uint64_t kTimerTickUs = 1024;
+constexpr std::size_t kTimerSlots = 256;
 
 std::uint64_t steady_now_us() {
   return static_cast<std::uint64_t>(
@@ -55,56 +56,17 @@ bool mmsg_compiled() noexcept {
 #endif
 }
 
-ReactorCounters& ReactorCounters::operator+=(
-    const ReactorCounters& other) noexcept {
-  epoll_waits += other.epoll_waits;
-  recv_syscalls += other.recv_syscalls;
-  send_syscalls += other.send_syscalls;
-  datagrams_in += other.datagrams_in;
-  datagrams_out += other.datagrams_out;
-  frames_in += other.frames_in;
-  frames_out += other.frames_out;
-  coalesced_datagrams_out += other.coalesced_datagrams_out;
-  batch_datagrams_in += other.batch_datagrams_in;
-  truncated_in += other.truncated_in;
-  send_errors += other.send_errors;
-  tasks_run += other.tasks_run;
-  return *this;
-}
-
-/// Counters are relaxed atomics: each is written by the shard thread only,
-/// but counters() may snapshot them from the driver thread mid-run.
 struct Reactor::Scratch {
-  struct Stats {
-    std::atomic<std::uint64_t> epoll_waits{0};
-    std::atomic<std::uint64_t> recv_syscalls{0};
-    std::atomic<std::uint64_t> send_syscalls{0};
-    std::atomic<std::uint64_t> datagrams_in{0};
-    std::atomic<std::uint64_t> datagrams_out{0};
-    std::atomic<std::uint64_t> frames_in{0};
-    std::atomic<std::uint64_t> frames_out{0};
-    std::atomic<std::uint64_t> coalesced_datagrams_out{0};
-    std::atomic<std::uint64_t> batch_datagrams_in{0};
-    std::atomic<std::uint64_t> truncated_in{0};
-    std::atomic<std::uint64_t> send_errors{0};
-    std::atomic<std::uint64_t> tasks_run{0};
-  } stats;
-
   /// Log-level gates cached once per loop iteration: the drop/error paths
   /// can fire at line rate under an adversarial flood, so they must not pay
-  /// even the macro's atomic level load per datagram. Loop-thread confined.
+  /// even the macro's atomic level load per datagram.
   bool log_debug = false;
   bool log_warn = true;
 
-  /// Wire encoding of the message being sent (enqueue_send). Loop-thread
-  /// confined; capacity sticks at the largest frame seen, so steady-state
-  /// sends never allocate.
+  /// Wire encoding of the message being sent (enqueue_send); capacity
+  /// sticks at the largest frame seen, so steady-state sends never
+  /// allocate.
   std::vector<std::uint8_t> encode_buf;
-
-  /// Drained tasks_ batch (run_tasks), swapped under the mutex and run
-  /// outside it; reused so the control path stops allocating per loop
-  /// iteration.
-  std::vector<std::function<void()>> task_batch;
 
   /// Receive slots, one datagram each; slot 0 doubles as the buffer of the
   /// portable single-datagram path.
@@ -146,39 +108,24 @@ std::uint64_t NetioTransport::now_us() const { return reactor_.now_us(); }
 
 // ------------------------------------------------------------------ reactor
 
-Reactor::Reactor(const ReactorOptions& options, std::uint64_t t0_steady_us)
+Reactor::Reactor(const ReactorOptions& options)
     : options_(options),
-      t0_us_(t0_steady_us != 0 ? t0_steady_us : steady_now_us()),
-      wheel_(options.timer_tick_us, options.timer_slots),
+      t0_us_(steady_now_us()),
+      wheel_(kTimerTickUs, kTimerSlots),
       arena_(options.max_datagram),
       scratch_(std::make_unique<Scratch>()) {
-  if (options_.recv_batch == 0) {
-    throw std::invalid_argument("Reactor: recv_batch must be > 0");
-  }
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) throw_errno("epoll_create1");
-  event_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (event_fd_ < 0) {
-    ::close(epoll_fd_);
-    epoll_fd_ = -1;
-    throw_errno("eventfd");
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kEventFdTag;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev) < 0) {
-    throw_errno("epoll_ctl(eventfd)");
-  }
 
   Scratch& s = *scratch_;
   s.log_debug = Logger::instance().enabled(LogLevel::kDebug);
   s.log_warn = Logger::instance().enabled(LogLevel::kWarn);
-  s.bufs.resize(options_.recv_batch);
+  s.bufs.resize(kRecvBatch);
   for (auto& buf : s.bufs) buf.resize(options_.max_datagram);
-  s.addrs.resize(options_.recv_batch);
+  s.addrs.resize(kRecvBatch);
 #if DAT_NETIO_HAVE_MMSG
-  s.iovecs.resize(options_.recv_batch);
-  s.hdrs.resize(options_.recv_batch);
+  s.iovecs.resize(kRecvBatch);
+  s.hdrs.resize(kRecvBatch);
   s.send_addrs.resize(kSendBatch);
   s.send_iovecs.resize(kSendBatch);
   s.send_hdrs.resize(kSendBatch);
@@ -186,17 +133,14 @@ Reactor::Reactor(const ReactorOptions& options, std::uint64_t t0_steady_us)
 
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry& registry = *options_.metrics;
-    const obs::Labels shard_labels{{"shard", options_.metrics_shard}};
-    frames_per_datagram_ =
-        &registry.histogram("dat_netio_frames_per_datagram", shard_labels);
+    frames_per_datagram_ = &registry.histogram("dat_netio_frames_per_datagram");
     metrics_collector_ = registry.add_collector(
-        [this, shard_labels](obs::MetricsSnapshot& out) {
-          const ReactorCounters c = counters();
+        [this](obs::MetricsSnapshot& out) {
+          const ReactorCounters& c = stats_;
           const auto add = [&](const char* name, std::uint64_t value) {
             obs::Sample sample;
             sample.name = name;
             sample.type = obs::MetricType::kCounter;
-            sample.labels = shard_labels;
             sample.value = static_cast<double>(value);
             out.samples.push_back(std::move(sample));
           };
@@ -212,55 +156,27 @@ Reactor::Reactor(const ReactorOptions& options, std::uint64_t t0_steady_us)
           add("dat_netio_batch_datagrams_in_total", c.batch_datagrams_in);
           add("dat_netio_truncated_in_total", c.truncated_in);
           add("dat_netio_send_errors_total", c.send_errors);
-          add("dat_netio_tasks_run_total", c.tasks_run);
         });
   }
 }
 
 Reactor::~Reactor() {
-  try {
-    stop();
-  } catch (...) {
-    // Joining the shard thread must not throw out of a destructor.
-  }
   if (options_.metrics != nullptr && metrics_collector_ != 0) {
     options_.metrics->remove_collector(metrics_collector_);
   }
   sockets_.clear();
   graveyard_.clear();
-  if (event_fd_ >= 0) ::close(event_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
-}
-
-bool Reactor::on_loop_thread() const {
-  return loop_thread_id_.load(std::memory_order_acquire) ==
-         std::this_thread::get_id();
 }
 
 std::uint64_t Reactor::now_us() const { return steady_now_us() - t0_us_; }
 
 NetioTransport& Reactor::add_socket(std::uint16_t port) {
-  if (!running() || on_loop_thread()) return do_add_socket(port);
-  std::promise<NetioTransport*> done;
-  post([this, port, &done] {
-    try {
-      done.set_value(&do_add_socket(port));
-    } catch (...) {
-      done.set_exception(std::current_exception());
-    }
-  });
-  return *done.get_future().get();
-}
-
-NetioTransport& Reactor::do_add_socket(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
                           0);
   if (fd < 0) throw_errno("socket");
-  if (options_.so_rcvbuf > 0) {
-    // Best-effort: the kernel silently caps at net.core.rmem_max.
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &options_.so_rcvbuf,
-                 sizeof options_.so_rcvbuf);
-  }
+  // Best-effort: the kernel silently caps at net.core.rmem_max.
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &kSoRcvbuf, sizeof kSoRcvbuf);
   if (port != 0) {
     // A pinned port belongs to a daemon restarting in place: let the new
     // socket rebind even while the dead incarnation's socket lingers.
@@ -301,19 +217,6 @@ NetioTransport& Reactor::do_add_socket(std::uint16_t port) {
 }
 
 void Reactor::remove_socket(net::Endpoint ep) {
-  if (!running() || on_loop_thread()) {
-    do_remove_socket(ep);
-    return;
-  }
-  std::promise<void> done;
-  post([this, ep, &done] {
-    do_remove_socket(ep);
-    done.set_value();
-  });
-  done.get_future().wait();
-}
-
-void Reactor::do_remove_socket(net::Endpoint ep) {
   const auto rit = reg_of_.find(ep);
   if (rit == reg_of_.end()) return;
   const std::uint64_t reg_id = rit->second;
@@ -332,42 +235,9 @@ void Reactor::do_remove_socket(net::Endpoint ep) {
 
 void Reactor::reap_graveyard() { graveyard_.clear(); }
 
-void Reactor::post(std::function<void()> fn) {
-  {
-    const std::lock_guard<std::mutex> lock(tasks_mutex_);
-    tasks_.push_back(std::move(fn));
-  }
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t n =
-      ::write(event_fd_, &one, sizeof one);
-}
-
-void Reactor::run_tasks() {
-  std::vector<std::function<void()>>& tasks = scratch_->task_batch;
-  tasks.clear();
-  {
-    const std::lock_guard<std::mutex> lock(tasks_mutex_);
-    tasks.swap(tasks_);
-  }
-  for (auto& fn : tasks) {
-    fn();
-    scratch_->stats.tasks_run.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Destroy the drained closures now (they may pin captured resources)
-  // while keeping the vector's capacity for the next batch.
-  tasks.clear();
-}
-
 net::TimerId Reactor::set_timer(std::uint64_t delay_us,
                                 std::function<void()> cb) {
-  const net::TimerId id = wheel_.schedule(now_us() + delay_us, std::move(cb));
-  if (running() && !on_loop_thread()) {
-    // The loop may be parked in a long epoll_wait that predates this timer.
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const ssize_t n =
-        ::write(event_fd_, &one, sizeof one);
-  }
-  return id;
+  return wheel_.schedule(now_us() + delay_us, std::move(cb));
 }
 
 void Reactor::cancel_timer(net::TimerId id) { wheel_.cancel(id); }
@@ -381,58 +251,38 @@ void Reactor::enqueue_send(NetioTransport& t, net::Endpoint to,
   ++t.counters_.messages_sent;
   t.counters_.bytes_sent += frame.size();
 
-  if (!options_.coalesce && !options_.batch_syscalls) {
-    // Fully immediate path: one sendto per frame (the bench baseline
-    // inside netio).
-    Scratch::Stats& stats = scratch_->stats;
-    if (send_datagram(t.fd_, to, frame)) {
-      stats.datagrams_out.fetch_add(1, std::memory_order_relaxed);
-      stats.frames_out.fetch_add(1, std::memory_order_relaxed);
+  auto [it, inserted] = t.open_.try_emplace(to);
+  NetioTransport::PendingDatagram& pd = it->second;
+  if (pd.frames > 0) {
+    // Seal the open datagram if this frame would overflow it.
+    const std::size_t projected =
+        pd.frames == 1
+            ? net::kBatchHeaderBytes + 2 * net::kBatchFrameOverheadBytes +
+                  pd.bytes.size() + frame.size()
+            : pd.bytes.size() + net::kBatchFrameOverheadBytes + frame.size();
+    if (projected > options_.max_datagram) {
+      t.outq_.push_back(std::move(pd));
+      pd = NetioTransport::PendingDatagram{};
     }
-    return;
   }
-
-  if (!options_.coalesce) {
-    NetioTransport::PendingDatagram pd;
+  if (pd.frames == 0) {
+    // A lone frame travels raw — zero container overhead until a second
+    // frame for the same destination shows up.
     pd.to = to;
     pd.bytes = arena_.acquire();
     pd.bytes.assign(frame.begin(), frame.end());
     pd.frames = 1;
-    t.outq_.push_back(std::move(pd));
+  } else if (pd.frames == 1) {
+    std::vector<std::uint8_t> packed = arena_.acquire();
+    net::begin_batch(packed);
+    net::append_batch_frame(packed, pd.bytes);
+    net::append_batch_frame(packed, frame);
+    arena_.release(std::move(pd.bytes));
+    pd.bytes = std::move(packed);
+    pd.frames = 2;
   } else {
-    auto [it, inserted] = t.open_.try_emplace(to);
-    NetioTransport::PendingDatagram& pd = it->second;
-    if (pd.frames > 0) {
-      // Seal the open datagram if this frame would overflow it.
-      const std::size_t projected =
-          pd.frames == 1
-              ? net::kBatchHeaderBytes + 2 * net::kBatchFrameOverheadBytes +
-                    pd.bytes.size() + frame.size()
-              : pd.bytes.size() + net::kBatchFrameOverheadBytes + frame.size();
-      if (projected > options_.max_datagram) {
-        t.outq_.push_back(std::move(pd));
-        pd = NetioTransport::PendingDatagram{};
-      }
-    }
-    if (pd.frames == 0) {
-      // A lone frame travels raw — zero container overhead until a second
-      // frame for the same destination shows up.
-      pd.to = to;
-      pd.bytes = arena_.acquire();
-      pd.bytes.assign(frame.begin(), frame.end());
-      pd.frames = 1;
-    } else if (pd.frames == 1) {
-      std::vector<std::uint8_t> packed = arena_.acquire();
-      net::begin_batch(packed);
-      net::append_batch_frame(packed, pd.bytes);
-      net::append_batch_frame(packed, frame);
-      arena_.release(std::move(pd.bytes));
-      pd.bytes = std::move(packed);
-      pd.frames = 2;
-    } else {
-      net::append_batch_frame(pd.bytes, frame);
-      ++pd.frames;
-    }
+    net::append_batch_frame(pd.bytes, frame);
+    ++pd.frames;
   }
 
   if (!t.flush_queued_) {
@@ -454,17 +304,16 @@ bool Reactor::send_datagram(int fd, net::Endpoint to,
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(net::endpoint_ipv4(to));
   addr.sin_port = htons(net::endpoint_port(to));
-  Scratch::Stats& stats = scratch_->stats;
   ssize_t n = 0;
   do {
     n = ::sendto(fd, bytes.data(), bytes.size(), 0,
                  reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
-    stats.send_syscalls.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.send_syscalls;
   } while (n < 0 && errno == EINTR);
   if (n < 0) {
     // UDP is fire-and-forget; log and move on (RpcManager retries).
     const int err = errno;
-    stats.send_errors.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.send_errors;
     if (scratch_->log_debug) {
       DAT_LOG_DEBUG("netio", "sendto " << net::endpoint_to_string(to)
                                        << " failed: " << errno_message(err));
@@ -479,13 +328,12 @@ void Reactor::flush_transport(NetioTransport& t) {
   t.flush_queued_ = false;
   if (t.outq_.empty()) return;
   Scratch& s = *scratch_;
-  Scratch::Stats& stats = s.stats;
 
   const auto account_sent = [&](const NetioTransport::PendingDatagram& dg) {
-    stats.datagrams_out.fetch_add(1, std::memory_order_relaxed);
-    stats.frames_out.fetch_add(dg.frames, std::memory_order_relaxed);
+    ++stats_.datagrams_out;
+    stats_.frames_out += dg.frames;
     if (dg.frames > 1) {
-      stats.coalesced_datagrams_out.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.coalesced_datagrams_out;
     }
     if (frames_per_datagram_ != nullptr) {
       frames_per_datagram_->observe(dg.frames);
@@ -516,12 +364,12 @@ void Reactor::flush_transport(NetioTransport& t) {
       int sent = 0;
       do {
         sent = ::sendmmsg(t.fd_, s.send_hdrs.data(), n, 0);
-        stats.send_syscalls.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.send_syscalls;
       } while (sent < 0 && errno == EINTR);
       if (sent <= 0) {
         // The head datagram was refused; drop it and keep the rest moving.
         const int err = errno;
-        stats.send_errors.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.send_errors;
         if (s.log_debug) {
           DAT_LOG_DEBUG("netio",
                         "sendmmsg to "
@@ -574,12 +422,11 @@ void Reactor::handle_inbound(std::uint64_t reg_id, const sockaddr_in& from,
   }
   const net::Endpoint src = net::make_udp_endpoint(
       ntohl(from.sin_addr.s_addr), ntohs(from.sin_port));
-  Scratch::Stats& stats = scratch_->stats;
-  stats.datagrams_in.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.datagrams_in;
   t.counters_.bytes_received += msg_len;
   if (kernel_truncated || msg_len > options_.max_datagram) {
     ++t.counters_.truncated_datagrams;
-    stats.truncated_in.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.truncated_in;
     if (scratch_->log_warn) {
       DAT_LOG_WARN("netio", "dropping truncated "
                                 << msg_len << "-byte datagram from "
@@ -594,7 +441,6 @@ void Reactor::handle_inbound(std::uint64_t reg_id, const sockaddr_in& from,
 
 void Reactor::dispatch_datagram(std::uint64_t reg_id, net::Endpoint src,
                                 std::span<const std::uint8_t> dgram) {
-  Scratch::Stats& stats = scratch_->stats;
   // Between frames the registration is re-resolved: a handler may remove
   // this node (the object stays alive in the graveyard until the end of the
   // iteration, but its remaining frames must be dropped).
@@ -613,12 +459,12 @@ void Reactor::dispatch_datagram(std::uint64_t reg_id, net::Endpoint src,
       return;
     }
     ++t.counters_.messages_received;
-    stats.frames_in.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.frames_in;
     if (t.handler_) t.handler_(src, decoded.value());
   };
 
   if (net::is_batch_datagram(dgram)) {
-    stats.batch_datagrams_in.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.batch_datagrams_in;
     const auto container_error = net::split_batch(dgram, dispatch_frame);
     if (container_error) {
       const auto it = sockets_.find(reg_id);
@@ -636,7 +482,6 @@ void Reactor::dispatch_datagram(std::uint64_t reg_id, net::Endpoint src,
 
 void Reactor::drain_fd(std::uint64_t reg_id) {
   Scratch& s = *scratch_;
-  Scratch::Stats& stats = s.stats;
   for (;;) {
     const auto it = sockets_.find(reg_id);
     if (it == sockets_.end()) return;  // removed by a handler mid-drain
@@ -644,7 +489,7 @@ void Reactor::drain_fd(std::uint64_t reg_id) {
 
 #if DAT_NETIO_HAVE_MMSG
     if (options_.batch_syscalls) {
-      const unsigned batch = options_.recv_batch;
+      constexpr unsigned batch = kRecvBatch;
       for (unsigned i = 0; i < batch; ++i) {
         s.iovecs[i] = iovec{s.bufs[i].data(), s.bufs[i].size()};
         s.hdrs[i] = mmsghdr{};
@@ -655,7 +500,7 @@ void Reactor::drain_fd(std::uint64_t reg_id) {
       }
       const int n = ::recvmmsg(fd, s.hdrs.data(), batch,
                                MSG_DONTWAIT | MSG_TRUNC, nullptr);
-      stats.recv_syscalls.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.recv_syscalls;
       if (n < 0) {
         const int err = errno;
         if (err == EAGAIN || err == EWOULDBLOCK) return;
@@ -687,7 +532,7 @@ void Reactor::drain_fd(std::uint64_t reg_id) {
         ::recvfrom(fd, s.bufs[0].data(), s.bufs[0].size(),
                    MSG_DONTWAIT | MSG_TRUNC,
                    reinterpret_cast<sockaddr*>(&from), &from_len);
-    stats.recv_syscalls.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.recv_syscalls;
     if (n < 0) {
       const int err = errno;
       if (err == EAGAIN || err == EWOULDBLOCK) return;
@@ -705,11 +550,11 @@ void Reactor::drain_fd(std::uint64_t reg_id) {
 
 // -------------------------------------------------------------- event loop
 
-void Reactor::iterate(std::uint64_t max_wait_us) {
+void Reactor::poll_once(std::uint64_t max_wait_us) {
   // Refresh the cached log gates once per iteration instead of per datagram.
   scratch_->log_debug = Logger::instance().enabled(LogLevel::kDebug);
   scratch_->log_warn = Logger::instance().enabled(LogLevel::kWarn);
-  run_tasks();
+  // Sends made between iterations leave before the loop parks in epoll.
   flush_all();
   reap_graveyard();
 
@@ -724,7 +569,7 @@ void Reactor::iterate(std::uint64_t max_wait_us) {
     if (!wheel_.empty()) {
       // Bound the sleep to one wheel tick so due timers are observed with
       // at most a tick of slack.
-      wait_us = std::min(wait_us, options_.timer_tick_us);
+      wait_us = std::min(wait_us, kTimerTickUs);
     }
     timeout_ms =
         static_cast<int>(std::min<std::uint64_t>(wait_us / 1000 + 1, 100));
@@ -733,79 +578,15 @@ void Reactor::iterate(std::uint64_t max_wait_us) {
   epoll_event events[kMaxEpollEvents];
   const int ready =
       ::epoll_wait(epoll_fd_, events, kMaxEpollEvents, timeout_ms);
-  scratch_->stats.epoll_waits.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.epoll_waits;
   if (ready < 0) {
     if (errno == EINTR) return;
     throw_errno("epoll_wait");
   }
-  for (int i = 0; i < ready; ++i) {
-    if (events[i].data.u64 == kEventFdTag) {
-      std::uint64_t drained = 0;
-      [[maybe_unused]] const ssize_t n =
-          ::read(event_fd_, &drained, sizeof drained);
-      continue;
-    }
-    drain_fd(events[i].data.u64);
-  }
-  run_tasks();
+  for (int i = 0; i < ready; ++i) drain_fd(events[i].data.u64);
   wheel_.advance(now_us());
   flush_all();
   reap_graveyard();
 }
-
-void Reactor::poll_once(std::uint64_t max_wait_us) {
-  if (running()) {
-    throw std::logic_error("Reactor::poll_once: shard thread is running");
-  }
-  iterate(max_wait_us);
-}
-
-void Reactor::run_loop() {
-  loop_thread_id_.store(std::this_thread::get_id(),
-                        std::memory_order_release);
-  while (running_.load(std::memory_order_acquire)) {
-    iterate(100'000);
-  }
-  loop_thread_id_.store(std::thread::id{}, std::memory_order_release);
-}
-
-void Reactor::start() {
-  if (running_.exchange(true, std::memory_order_acq_rel)) return;
-  thread_ = std::thread([this] { run_loop(); });
-}
-
-void Reactor::stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) {
-    return;
-  }
-  post([] {});  // wake the loop so it observes running_ == false
-  if (thread_.joinable()) thread_.join();
-  // Drain stragglers on the caller: posted promises must still resolve and
-  // pending coalesced datagrams must still hit the wire.
-  run_tasks();
-  flush_all();
-  reap_graveyard();
-}
-
-ReactorCounters Reactor::counters() const {
-  const Scratch::Stats& s = scratch_->stats;
-  ReactorCounters c;
-  c.epoll_waits = s.epoll_waits.load(std::memory_order_relaxed);
-  c.recv_syscalls = s.recv_syscalls.load(std::memory_order_relaxed);
-  c.send_syscalls = s.send_syscalls.load(std::memory_order_relaxed);
-  c.datagrams_in = s.datagrams_in.load(std::memory_order_relaxed);
-  c.datagrams_out = s.datagrams_out.load(std::memory_order_relaxed);
-  c.frames_in = s.frames_in.load(std::memory_order_relaxed);
-  c.frames_out = s.frames_out.load(std::memory_order_relaxed);
-  c.coalesced_datagrams_out =
-      s.coalesced_datagrams_out.load(std::memory_order_relaxed);
-  c.batch_datagrams_in = s.batch_datagrams_in.load(std::memory_order_relaxed);
-  c.truncated_in = s.truncated_in.load(std::memory_order_relaxed);
-  c.send_errors = s.send_errors.load(std::memory_order_relaxed);
-  c.tasks_run = s.tasks_run.load(std::memory_order_relaxed);
-  return c;
-}
-
-std::size_t Reactor::socket_count() const { return sockets_.size(); }
 
 }  // namespace dat::netio

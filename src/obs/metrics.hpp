@@ -179,7 +179,7 @@ struct MetricsSnapshot {
 };
 
 /// Lock-light metrics registry: one per node (plus one per cluster for
-/// shared infrastructure like the netio shards). Instrument creation takes
+/// shared infrastructure like the netio reactor). Instrument creation takes
 /// a mutex once; the returned references stay valid for the registry's
 /// lifetime (deque storage, instruments never move), so hot paths hold the
 /// pointer and pay only relaxed atomics. Existing counter structs

@@ -1,24 +1,23 @@
 // The netio subsystem itself: timer wheel, buffer arena, batch frame
 // container, coalesced send/decode, kernel truncation, receive-before-timer
-// ordering and the threaded multi-shard pool (the TSan preset runs this file to vet the
-// cross-shard timer and task paths).
+// ordering and the reactor's exported metrics.
 
 #include "netio/reactor.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/frame.hpp"
 #include "net/rpc.hpp"
 #include "netio/buffer_arena.hpp"
 #include "netio/netio_network.hpp"
-#include "netio/reactor_pool.hpp"
 #include "netio/timer_wheel.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 
@@ -252,92 +251,70 @@ TEST(NetioNetworkTest, MmsgKnobFallsBackCleanly) {
   EXPECT_GE(counters.coalesced_datagrams_out, 1u);  // coalescing still on
 }
 
-// ----------------------------------------------------- threaded shards
+TEST(NetioNetworkTest, ExportedMetricsEqualTheCounters) {
+  obs::MetricsRegistry registry;
+  NetioNetwork network(ReactorOptions{.max_datagram = 512,
+                                      .metrics = &registry});
+  auto& a = network.add_node();
+  auto& b = network.add_node();
+  int received = 0;
+  b.set_receive_handler(
+      [&](net::Endpoint, const net::Message&) { ++received; });
+  a.set_receive_handler(
+      [&](net::Endpoint, const net::Message&) { ++received; });
+  // A coalesced wave, a lone raw frame back, and one datagram over the
+  // receive buffer, so the batch, raw and truncation counters all move.
+  constexpr int kWave = 12;
+  for (int i = 0; i < kWave; ++i) a.send(b.local(), one_way("update"));
+  b.send(a.local(), one_way("ack"));
+  a.send(b.local(), one_way("big", std::vector<std::uint8_t>(2'000)));
+  ASSERT_TRUE(network.run_while(
+      [&] {
+        return received < kWave + 1 ||
+               network.reactor().counters().truncated_in == 0;
+      },
+      2'000'000));
 
-TEST(ReactorPoolTest, RpcAcrossShardsWithThreadsRunning) {
-  ReactorPoolOptions options;
-  options.shards = 2;
-  ReactorPool pool(options);
-  // Round-robin assignment: consecutive nodes land on different shards.
-  auto& ta = pool.add_node();
-  auto& tb = pool.add_node();
-  net::RpcManager client(ta);
-  net::RpcManager server(tb);
-  server.register_method(
-      "echo", [](net::Endpoint, net::Reader& req, net::Writer& reply) {
-        reply.u64(req.u64());
-      });
-  pool.start();
-  std::atomic<std::uint64_t> result{0};
-  // RpcManager is shard-confined: initiate the call on the client's shard.
-  pool.shard_of(ta.local())->post([&] {
-    net::Writer body;
-    body.u64(777);
-    client.call(tb.local(), "echo", body,
-                [&](net::RpcStatus s, net::Reader& r) {
-                  result.store(s == net::RpcStatus::kOk ? r.u64() : 1,
-                               std::memory_order_release);
-                });
-  });
-  for (int i = 0; i < 400 && result.load(std::memory_order_acquire) == 0;
-       ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  pool.stop();
-  EXPECT_EQ(result.load(), 777u);
-  const ReactorCounters total = pool.counters();
-  EXPECT_GE(total.frames_in, 2u);  // request on one shard, reply on the other
-}
-
-TEST(ReactorPoolTest, CrossShardTimersScheduleAndCancelSafely) {
-  ReactorPoolOptions options;
-  options.shards = 2;
-  options.reactor.timer_tick_us = 500;
-  ReactorPool pool(options);
-  pool.start();
-  std::atomic<int> fired{0};
-  std::atomic<int> cancelled_fired{0};
-  // Hammer both shards' wheels from two foreign threads while the shard
-  // threads advance them: every scheduled timer fires exactly once and no
-  // cancelled timer fires at all (TSan vets the locking).
-  constexpr int kPerThread = 50;
-  auto hammer = [&](std::size_t shard_index) {
-    Reactor& shard = pool.shard(shard_index);
-    for (int i = 0; i < kPerThread; ++i) {
-      shard.set_timer(1'000 + static_cast<std::uint64_t>(i) * 200,
-                      [&] { fired.fetch_add(1); });
-      const net::TimerId doomed = shard.set_timer(
-          2'000'000'000, [&] { cancelled_fired.fetch_add(1); });
-      shard.cancel_timer(doomed);
-    }
+  const ReactorCounters c = network.reactor().counters();
+  ASSERT_EQ(c.truncated_in, 1u);
+  ASSERT_GE(c.coalesced_datagrams_out, 1u);
+  const obs::MetricsSnapshot snapshot = registry.snapshot();
+  const std::vector<std::pair<std::string, std::uint64_t>> expected = {
+      {"dat_netio_epoll_waits_total", c.epoll_waits},
+      {"dat_netio_recv_syscalls_total", c.recv_syscalls},
+      {"dat_netio_send_syscalls_total", c.send_syscalls},
+      {"dat_netio_datagrams_in_total", c.datagrams_in},
+      {"dat_netio_datagrams_out_total", c.datagrams_out},
+      {"dat_netio_frames_in_total", c.frames_in},
+      {"dat_netio_frames_out_total", c.frames_out},
+      {"dat_netio_coalesced_datagrams_out_total", c.coalesced_datagrams_out},
+      {"dat_netio_batch_datagrams_in_total", c.batch_datagrams_in},
+      {"dat_netio_truncated_in_total", c.truncated_in},
+      {"dat_netio_send_errors_total", c.send_errors},
   };
-  std::thread h0(hammer, 0);
-  std::thread h1(hammer, 1);
-  h0.join();
-  h1.join();
-  for (int i = 0; i < 400 && fired.load() < 2 * kPerThread; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  for (const auto& [name, value] : expected) {
+    const obs::Sample* sample = snapshot.find(name);
+    ASSERT_NE(sample, nullptr) << name;
+    EXPECT_EQ(sample->type, obs::MetricType::kCounter) << name;
+    EXPECT_EQ(sample->value, static_cast<double>(value)) << name;
   }
-  pool.stop();
-  EXPECT_EQ(fired.load(), 2 * kPerThread);
-  EXPECT_EQ(cancelled_fired.load(), 0);
-}
 
-TEST(ReactorPoolTest, RemoveNodeWhileShardsRun) {
-  ReactorPoolOptions options;
-  options.shards = 2;
-  ReactorPool pool(options);
-  auto& a = pool.add_node();
-  auto& b = pool.add_node();
-  const net::Endpoint b_ep = b.local();
-  pool.start();
-  pool.shard_of(a.local())->post([&] {
-    for (int i = 0; i < 8; ++i) a.send(b_ep, one_way("swansong"));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  pool.remove_node(b_ep);  // marshalled onto b's shard thread
-  EXPECT_EQ(pool.shard_of(b_ep), nullptr);
-  pool.stop();
+  std::size_t netio_counters = 0;
+  for (const obs::Sample& sample : snapshot.samples) {
+    if (!sample.name.starts_with("dat_netio_")) continue;
+    for (const auto& [key, value] : sample.labels) {
+      EXPECT_NE(key, "shard") << sample.name;
+    }
+    if (sample.name.ends_with("_total")) ++netio_counters;
+  }
+  EXPECT_EQ(netio_counters, expected.size());  // no series beyond the fields
+
+  const obs::Sample* batch_sizes =
+      snapshot.find("dat_netio_frames_per_datagram");
+  ASSERT_NE(batch_sizes, nullptr);
+  EXPECT_EQ(batch_sizes->type, obs::MetricType::kHistogram);
+  EXPECT_EQ(batch_sizes->count, c.datagrams_out);
+  EXPECT_EQ(batch_sizes->sum, c.frames_out);
 }
 
 TEST(ReactorTest, MmsgCompileStateIsReported) {
